@@ -127,7 +127,7 @@ fn main() -> ExitCode {
             workloads::validate_faults(seed, VALIDATE_FAULTS_TRIALS),
             trace_out,
         ),
-        (Workload::ServeAdmission, false) => serve::measure(seed, args.seconds, &args.work_dir),
+        (Workload::ServeAdmission, false) => serve::measure(seed, args.seconds),
         (Workload::ServeAdmission, true) => {
             serve::traced(seed, args.seconds, &args.work_dir, trace_out)
         }

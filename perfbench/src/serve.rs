@@ -37,32 +37,23 @@ use crate::workloads::{generator_config, mix_seed};
 /// Task sets in the hot set.
 const HOT_SETS: usize = 24;
 /// Share of novel task sets (cold path) in the stream.
-const COLD_SHARE: f64 = 0.05;
+const COLD_SHARE: f64 = 0.15;
 /// Share of goal flips on hot task sets.
-const FLIP_SHARE: f64 = 0.07;
-/// Offered rate of the fixed-rate phase, requests per second.
+const FLIP_SHARE: f64 = 0.1;
+/// Offered rate of the traced run's open-loop windows, requests per
+/// second.
 const FIXED_RATE: f64 = 1_000.0;
-/// The latency limit on `decision_p99`, microseconds.
-const SLO_US: f64 = 20_000.0;
-/// The offered-rate ladder probed for `max_rps_within_slo`: geometric
-/// from the first rung, climbing until two rungs in a row miss the limit.
-const LADDER_FIRST: f64 = 6_000.0;
-const LADDER_STEP: f64 = 1.06;
-const LADDER_RUNGS: i32 = 34;
-/// Shares of `--seconds` spent in the fixed-rate phase, in each ladder
-/// rung and in the serial closed loop.
+/// Share of `--seconds` the traced run's open-loop windows take, and
+/// how many there are, each on a fresh server.
 const FIXED_SHARE: f64 = 0.5;
-const RUNG_SHARE: f64 = 0.0075;
-const CLOSED_SHARE: f64 = 0.1;
-const SATURATION_SHARE: f64 = 0.1;
-/// An offered rate far beyond what one connection can be answered at:
-/// requests go out back to back, so the answer rate is the capacity.
-const SATURATION_RATE: f64 = 1e7;
-/// Windows per phase, each on a fresh server.
 const FIXED_WINDOWS: usize = 15;
-const RUNG_WINDOWS: usize = 3;
-const CLOSED_WINDOWS: usize = 5;
-const SATURATION_WINDOWS: usize = 5;
+/// Requests every untraced repetition decides.
+const STREAM_LEN: usize = 6_000;
+/// Requests decided per replay batch (the `ftsched serve --replay`
+/// default).
+const REPLAY_BATCH: usize = 32;
+/// Repetitions an untraced run makes at least.
+const MIN_REPS: usize = 5;
 /// Set-ups per run; `setup_s` is their median.
 const SETUP_REPEATS: usize = 3;
 
@@ -262,23 +253,8 @@ pub struct Phase {
     /// How late the generator sent each request, µs.
     pub gen_lag_us: Vec<f64>,
     pub backlog_max: usize,
-    /// Time from the last request's due time to its answer, µs.
-    pub drain_us: f64,
-    /// Time from the first request's due time to the last answer, s.
-    pub elapsed_s: f64,
     pub attempted: u64,
     pub failed: u64,
-}
-
-/// Share of requests allowed over the latency limit: the limit is on p99.
-const OVER_LIMIT_SHARE: f64 = 0.01;
-
-impl Phase {
-    /// Share of requests answered later than `slo_us`, or not at all.
-    pub fn over_limit(&self, slo_us: f64) -> f64 {
-        let late = self.latency_us.iter().filter(|&&l| l > slo_us).count() as u64;
-        (late + self.failed) as f64 / self.attempted.max(1) as f64
-    }
 }
 
 /// Sends `count` frames on a fixed schedule at `rate` per second, from
@@ -325,8 +301,6 @@ pub fn open_loop(
                     received.store(i + 1, Ordering::Relaxed);
                     let latency = at.saturating_duration_since(due(i)).as_secs_f64() * 1e6;
                     phase.latency_us.push(latency);
-                    phase.drain_us = latency;
-                    phase.elapsed_s = at.saturating_duration_since(start).as_secs_f64();
                     phase.failed += u64::from(answer != item(i).expected);
                 }
                 _ => {
@@ -376,91 +350,24 @@ fn open_window(
     phase
 }
 
-/// Median and p99 latency, µs, over the pooled samples of the best third
-/// of `windows` by p99. Other tenants of the host only add latency, so
-/// windows they disturbed are set aside; the program's own stalls show
-/// in every window and stay in.
-fn steady_latency(windows: &[Phase]) -> (f64, f64) {
+/// The pooled latency samples, µs, of the best third of `windows` by
+/// p99. Other tenants of the host only add latency, so windows they
+/// disturbed are set aside; the program's own stalls show in every
+/// window and stay in.
+fn steady_latency(windows: &[Phase]) -> Vec<f64> {
     let mut by_p99: Vec<&Phase> = windows.iter().collect();
     by_p99.sort_by(|a, b| {
         let p99 = |p: &Phase| stats::percentile(&p.latency_us, 99.0);
         p99(a).total_cmp(&p99(b))
     });
-    let pooled: Vec<f64> = by_p99[..windows.len().div_ceil(3)]
+    by_p99[..windows.len().div_ceil(3)]
         .iter()
         .flat_map(|p| p.latency_us.iter().copied())
-        .collect();
-    (stats::median(&pooled), stats::percentile(&pooled, 99.0))
+        .collect()
 }
 
 fn median_over(phases: &[Phase], metric: impl Fn(&Phase) -> f64) -> f64 {
     stats::median(&phases.iter().map(metric).collect::<Vec<_>>())
-}
-
-/// Closed loop over one connection: `count` requests from
-/// `items[offset..]` (wrapping), each sent once its predecessor's answer
-/// has arrived. Returns the serial decision rate.
-fn closed_loop(
-    stream: &Stream,
-    offset: usize,
-    count: usize,
-    dir: &Path,
-    tag: &str,
-    run: &mut RunResult,
-) -> f64 {
-    let outcome = Server::start(dir, tag).and_then(|server| {
-        let (mut conn, wrong) = server.connect(&stream.hot)?;
-        let start = Instant::now();
-        let mut failed = wrong;
-        for item in stream.items.iter().cycle().skip(offset).take(count) {
-            write_frame(&mut conn, &item.frame)?;
-            let answer = read_frame(&mut conn, DEFAULT_MAX_FRAME_BYTES)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            failed += u64::from(answer.as_deref() != Some(&item.expected[..]));
-        }
-        Ok((failed, start.elapsed().as_secs_f64()))
-    });
-    match outcome {
-        Ok((failed, elapsed)) => {
-            run.attempted += (count + stream.hot.len()) as u64;
-            run.failed += failed;
-            count as f64 / elapsed
-        }
-        Err(e) => {
-            eprintln!("closed loop {tag} failed: {e}");
-            run.check(false);
-            0.0
-        }
-    }
-}
-
-/// The highest offered rate meeting the latency limit. `rungs` holds
-/// each probed rate with its share of requests over the limit and
-/// whether it met the limit. Between the highest rung that met it and
-/// the next rung up, the rate is interpolated in log-rate where the
-/// over-limit share crosses 1%.
-pub fn max_rps_within_slo(rungs: &[(f64, f64, bool)]) -> f64 {
-    let Some(best) = rungs.iter().rposition(|&(_, _, ok)| ok) else {
-        let (rate, over, _) = rungs.first().copied().unwrap_or((0.0, 1.0, false));
-        return rate * OVER_LIMIT_SHARE / over.max(OVER_LIMIT_SHARE);
-    };
-    let (rate_ok, over_ok, _) = rungs[best];
-    let Some(&(rate_fail, over_fail, _)) = rungs.get(best + 1) else {
-        return rate_ok;
-    };
-    let over_fail = over_fail.max(OVER_LIMIT_SHARE);
-    let t = if over_fail > over_ok {
-        (OVER_LIMIT_SHARE - over_ok) / (over_fail - over_ok)
-    } else {
-        1.0
-    };
-    (rate_ok.ln() + t.clamp(0.0, 1.0) * (rate_fail.ln() - rate_ok.ln())).exp()
-}
-
-fn ladder() -> Vec<f64> {
-    (0..LADDER_RUNGS)
-        .map(|k| LADDER_FIRST * LADDER_STEP.powi(k))
-        .collect()
 }
 
 /// Requests offered at `rate` over `seconds`, at least enough for a p99
@@ -473,15 +380,7 @@ fn fixed_window_count(seconds: f64) -> usize {
     phase_count(FIXED_RATE, seconds * FIXED_SHARE / FIXED_WINDOWS as f64)
 }
 
-/// Distinct requests a run generates: what the fixed-rate windows offer
-/// in all. Other phases wrap around the stream; every window has a fresh
-/// server, so a wrapped request is as cold as the first time.
-fn stream_len(seconds: f64) -> usize {
-    fixed_window_count(seconds) * FIXED_WINDOWS
-}
-
-fn setup(seed: u64, seconds: f64, run: &mut RunResult) -> (Stream, f64) {
-    let len = stream_len(seconds);
+fn setup(seed: u64, len: usize, run: &mut RunResult) -> (Stream, f64) {
     let mut times = Vec::new();
     let mut first: Option<Stream> = None;
     for _ in 0..SETUP_REPEATS {
@@ -518,151 +417,98 @@ fn fixed_window(stream: &Stream, dir: &Path, k: usize, seconds: f64, run: &mut R
     )
 }
 
-/// One ladder rung: [`RUNG_WINDOWS`] windows at `rate`; the least
-/// disturbed one decides whether the rung met the latency limit.
-fn rung(
-    stream: &Stream,
-    dir: &Path,
-    k: usize,
-    rate: f64,
-    seconds: f64,
-    run: &mut RunResult,
-) -> (f64, f64, bool) {
-    let count = phase_count(rate, seconds * RUNG_SHARE);
-    let windows: Vec<Phase> = (0..RUNG_WINDOWS)
-        .map(|w| {
-            let offset = w * stream.items.len() / RUNG_WINDOWS;
-            open_window(
-                stream,
-                dir,
-                &format!("rung{k}-{w}"),
-                offset,
-                rate,
-                count,
-                run,
-            )
-        })
-        .collect();
-    let best = windows
-        .iter()
-        .min_by(|a, b| a.over_limit(SLO_US).total_cmp(&b.over_limit(SLO_US)))
-        .expect("every rung has windows");
-    let over = best.over_limit(SLO_US);
-    (
-        rate,
-        over,
-        over <= OVER_LIMIT_SHARE && best.drain_us <= SLO_US,
-    )
-}
-
-/// The ladder climbs until it runs out of rungs or two rungs in a row
-/// missed the limit, so one disturbed rung does not end it early.
-fn ladder_done(rungs: &[(f64, f64, bool)]) -> bool {
-    rungs.len() == LADDER_RUNGS as usize
-        || (rungs.len() >= 2 && rungs[rungs.len() - 2..].iter().all(|r| !r.2))
-}
-
-/// The untraced serve run: fixed-rate latency, the rate ladder, the
-/// serial closed loop and the saturation rate, every window on a fresh
-/// server. The phases take turns round by round, so a slowdown of the
-/// host lasting many seconds reaches only some windows of each.
-pub fn measure(seed: u64, seconds: f64, dir: &Path) -> RunResult {
-    let mut run = RunResult::default();
-    let (stream, setup_s) = setup(seed, seconds, &mut run);
-    let len = stream.items.len();
-    // The closed-loop and saturation windows are sized from the serial
-    // rate of a first pass, so each phase takes its share of the run.
-    let rate = closed_loop(&stream, 0, 1_000, dir, "probe", &mut run);
-    let closed_count = phase_count(rate, seconds * CLOSED_SHARE / CLOSED_WINDOWS as f64);
-    let saturation_count =
-        phase_count(rate, seconds * SATURATION_SHARE / SATURATION_WINDOWS as f64);
-    let ladder = ladder();
-    let (mut fixed, mut serial, mut saturated, mut rungs) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for round in 0.. {
-        if fixed.len() == FIXED_WINDOWS && serial.len() == CLOSED_WINDOWS && ladder_done(&rungs) {
-            break;
-        }
-        if fixed.len() < FIXED_WINDOWS {
-            fixed.push(fixed_window(&stream, dir, fixed.len(), seconds, &mut run));
-        }
-        if round % (FIXED_WINDOWS / CLOSED_WINDOWS) == 0 && serial.len() < CLOSED_WINDOWS {
-            let k = serial.len();
-            let offset = k * len / CLOSED_WINDOWS;
-            let tag = format!("closed-{k}");
-            serial.push(closed_loop(
-                &stream,
-                offset,
-                closed_count,
-                dir,
-                &tag,
-                &mut run,
-            ));
-            let tag = format!("saturation-{k}");
-            let rate = SATURATION_RATE;
-            saturated.push(open_window(
-                &stream,
-                dir,
-                &tag,
-                offset,
-                rate,
-                saturation_count,
-                &mut run,
-            ));
-        }
-        if !ladder_done(&rungs) {
-            let k = rungs.len();
-            rungs.push(rung(&stream, dir, k, ladder[k], seconds, &mut run));
-        }
+/// An engine with the hot set decided once, as a long-running server
+/// has it.
+fn warmed_engine(stream: &Stream) -> AdmissionEngine {
+    let engine = AdmissionEngine::new(EngineConfig::default());
+    for item in &stream.hot {
+        engine.admit(&item.request);
     }
-    let (p50, p99) = steady_latency(&fixed);
-    let serial_rate = stats::median(&serial);
-    let capacity = median_over(&saturated, |p| {
-        p.latency_us.len() as f64 / p.elapsed_s.max(1e-9)
-    });
-    let max_rps = max_rps_within_slo(&rungs);
+    engine
+}
 
-    run.set("throughput", capacity);
-    run.set("throughput_1t", serial_rate);
+/// One request from frame to answer bytes: decode, admit, encode.
+fn decide(engine: &AdmissionEngine, frame: &[u8]) -> Vec<u8> {
+    let request: AdmissionRequest = std::str::from_utf8(frame)
+        .ok()
+        .and_then(|text| serde_json::from_str(text).ok())
+        .expect("generated frames parse");
+    encode(&engine.admit(&request))
+}
+
+/// The untraced serve run, in process and CPU-bound. Each repetition
+/// replays the stream's JSONL log through `ftsched_serve::replay`
+/// (batched over the rayon pool, as `ftsched serve --replay` does), then
+/// decides it once more request by request on one thread, timing each
+/// decode + admit + encode. Every repetition starts from a fresh engine
+/// with the hot set warmed, and every answer is checked.
+pub fn measure(seed: u64, seconds: f64) -> RunResult {
+    let mut run = RunResult::default();
+    let (stream, setup_s) = setup(seed, STREAM_LEN, &mut run);
+    let log: String = stream
+        .items
+        .iter()
+        .map(|item| std::str::from_utf8(&item.frame).expect("frames are JSON text"))
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    let n = stream.items.len();
+    let (mut batched, mut serial) = (Vec::new(), Vec::new());
+    let (mut p50s, mut p90s, mut p99s) = (Vec::new(), Vec::new(), Vec::new());
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < seconds || batched.len() < MIN_REPS {
+        let engine = warmed_engine(&stream);
+        let mut transcript = Vec::new();
+        let begun = Instant::now();
+        let replayed = ftsched_serve::replay(&engine, &log, &mut transcript, REPLAY_BATCH);
+        batched.push(begun.elapsed().as_secs_f64());
+        let lines: Vec<&[u8]> = transcript.split(|&b| b == b'\n').collect();
+        for (i, item) in stream.items.iter().enumerate() {
+            run.check(replayed.is_ok() && lines.get(i) == Some(&&item.expected[..]));
+        }
+
+        let engine = warmed_engine(&stream);
+        let mut latency_us = Vec::with_capacity(n);
+        let begun = Instant::now();
+        for item in &stream.items {
+            let t = Instant::now();
+            let answer = decide(&engine, &item.frame);
+            latency_us.push(t.elapsed().as_secs_f64() * 1e6);
+            run.check(answer == item.expected);
+        }
+        serial.push(begun.elapsed().as_secs_f64());
+        p50s.push(stats::median(&latency_us));
+        p90s.push(stats::percentile(&latency_us, 90.0));
+        p99s.push(stats::percentile(&latency_us, 99.0));
+    }
+    let throughput = n as f64 / stats::median(&batched);
+    let throughput_1t = n as f64 / stats::median(&serial);
+    let (p50, p90, p99) = (
+        stats::median(&p50s),
+        stats::median(&p90s),
+        stats::median(&p99s),
+    );
+    run.set("throughput", throughput);
+    run.set("throughput_1t", throughput_1t);
     run.set("latency_p50_ms", p50 / 1e3);
-    run.set("latency_tail_ms", p99 / 1e3);
+    run.set("latency_tail_ms", p90 / 1e3);
     run.set("setup_s", setup_s);
     run.set("peak_rss_mb", peak_rss_mb());
-    let samples: usize = fixed.iter().map(|p| p.latency_us.len()).sum();
+    run.named("decisions_per_s", throughput, "1/s");
+    run.named("decisions_per_s_1t", throughput_1t, "1/s");
     run.named("decision_p50_us", p50, "us");
+    run.named("decision_p90_us", p90, "us");
     run.named("decision_p99_us", p99, "us");
-    run.named("decision_samples", samples as f64, "count");
-    run.named("max_rps_within_slo", max_rps, "1/s");
-    run.named("saturation_rps", capacity, "1/s");
-    run.named("serial_rps", serial_rate, "1/s");
     run.named("setup_s", setup_s, "s");
     run.named("peak_rss_mb", peak_rss_mb(), "MB");
-    let cold = stream.items[..samples.min(stream.items.len())]
+    let cold = stream
+        .items
         .iter()
         .filter(|i| i.class == Class::Cold)
         .count();
     run.note(format!(
-        "p50, p99: pooled over the best {} of {FIXED_WINDOWS} windows at {FIXED_RATE} rps \
-         ({cold} cold requests); max_rps_within_slo: p99 limit {SLO_US} us; saturation and serial: median \
-         of {SATURATION_WINDOWS} windows; serial windows {serial:.0?}",
-        FIXED_WINDOWS.div_ceil(3)
-    ));
-    run.note(format!(
-        "window p99s {:?} us; generator lag p99 {:.1} us; backlog max {}",
-        fixed
-            .iter()
-            .map(|p| stats::percentile(&p.latency_us, 99.0).round())
-            .collect::<Vec<_>>(),
-        median_over(&fixed, |p| stats::percentile(&p.gen_lag_us, 99.0)),
-        fixed.iter().map(|p| p.backlog_max).max().unwrap_or(0)
-    ));
-    let ladder: Vec<String> = rungs
-        .iter()
-        .map(|(rate, over, ok)| format!("{rate:.0}: {over:.3}{}", if *ok { "" } else { " missed" }))
-        .collect();
-    run.note(format!(
-        "ladder (rate: share over the limit): {}",
-        ladder.join(", ")
+        "{n} requests ({cold} novel task sets) per repetition, {} repetitions; \
+         decision latencies are medians over repetitions",
+        batched.len()
     ));
     run
 }
@@ -688,10 +534,7 @@ fn admit_span(class: Class) -> &'static str {
 /// encode. With a tracer, each step runs in a span. Returns the wall
 /// time and the number of wrong answers.
 fn in_process(stream: &Stream, n: usize, mut tracer: Option<&mut Tracer>) -> (f64, u64) {
-    let engine = AdmissionEngine::new(EngineConfig::default());
-    for item in &stream.hot {
-        engine.admit(&item.request);
-    }
+    let engine = warmed_engine(stream);
     let mut wrong = 0;
     let start = Instant::now();
     for (i, item) in stream.items[..n].iter().enumerate() {
@@ -711,7 +554,7 @@ fn in_process(stream: &Stream, n: usize, mut tracer: Option<&mut Tracer>) -> (f6
                 t.close();
                 bytes
             }
-            None => encode(&engine.admit(&decode().expect("frames parse"))),
+            None => decide(&engine, &item.frame),
         };
         wrong += u64::from(answer != item.expected);
     }
@@ -757,7 +600,7 @@ fn cold_breakdown(request: &AdmissionRequest, tracer: &mut Tracer, points: &mut 
 /// request broken down call by call.
 pub fn traced(seed: u64, seconds: f64, dir: &Path, trace_out: Option<&Path>) -> RunResult {
     let mut run = RunResult::default();
-    let (stream, _) = setup(seed, seconds, &mut run);
+    let (stream, _) = setup(seed, fixed_window_count(seconds) * FIXED_WINDOWS, &mut run);
     let fixed: Vec<Phase> = (0..FIXED_WINDOWS)
         .map(|k| fixed_window(&stream, dir, k, seconds, &mut run))
         .collect();
@@ -787,7 +630,7 @@ pub fn traced(seed: u64, seconds: f64, dir: &Path, trace_out: Option<&Path>) -> 
 
     let p50 = |t: &Tracer, name: &str| stats::median(&t.durations_us(name));
     let tail = |t: &Tracer, name: &str| stats::tail(&t.durations_us(name)).0;
-    let (wire_p50, _) = steady_latency(&fixed);
+    let wire_p50 = stats::median(&steady_latency(&fixed));
     run.set("serve.decode_us.p50", p50(&tracer, "serve.decode"));
     run.set("serve.encode_us.p50", p50(&tracer, "serve.encode"));
     run.set("serve.admit_hit_us.p50", p50(&tracer, "serve.admit_hit"));
@@ -992,7 +835,6 @@ mod tests {
         let phase = open_loop(&client, &client, &items, 0, 5_000.0, items.len());
         handle.join().unwrap();
         assert_eq!((phase.attempted, phase.failed), (10, 6));
-        assert!(phase.over_limit(SLO_US) >= 0.6);
     }
 
     #[test]
@@ -1007,22 +849,5 @@ mod tests {
         assert_eq!(run.failed, 0, "every served answer equals the reference");
         assert_eq!(run.attempted, (120 + HOT_SETS) as u64);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn max_rps_interpolates_between_the_last_met_and_next_rung() {
-        // Met at 1000 and 2000 (a disturbed miss at 1500 is skipped).
-        let rungs = [
-            (1_000.0, 0.0, true),
-            (1_500.0, 0.5, false),
-            (2_000.0, 0.0, true),
-            (4_000.0, 0.02, false),
-            (8_000.0, 0.5, false),
-        ];
-        let rate = max_rps_within_slo(&rungs);
-        // The 1% crossing is halfway from 0 to 2% in log-rate.
-        assert!((rate - (2_000.0f64.ln() * 0.5 + 4_000.0f64.ln() * 0.5).exp()).abs() < 1e-6);
-        assert_eq!(max_rps_within_slo(&[(1_000.0, 0.0, true)]), 1_000.0);
-        assert_eq!(max_rps_within_slo(&[(1_000.0, 0.04, false)]), 250.0);
     }
 }
