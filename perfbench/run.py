@@ -163,6 +163,12 @@ def cmd_spread(args):
         if os.path.exists(args.out):
             with open(args.out) as f:
                 doc = json.load(f)
+        # Runs of one workload at the same --seconds accumulate, so the
+        # two sides of a comparison can be measured seed by seed in turn.
+        old = doc.get(args.workload)
+        if old and old["seconds"] == args.seconds:
+            seeds = old["seeds"] + seeds
+            values = {m: old["metrics"][m] + v for m, v in values.items()}
         doc[args.workload] = {"seeds": seeds, "seconds": args.seconds,
                               "metrics": values}
         with open(args.out, "w") as f:
