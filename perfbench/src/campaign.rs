@@ -9,7 +9,7 @@ use crate::metrics::RunResult;
 use crate::stats;
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 3;
+const SETUP_REPEATS: usize = 3;
 
 pub fn config(threads: usize, design_cache: bool) -> ExecutorConfig {
     ExecutorConfig {
