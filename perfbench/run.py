@@ -22,6 +22,9 @@ Run from the repository root:
       One row per (workload, end-to-end metric) of two result sets:
       each side's median and quartiles and a verdict of improved,
       unchanged, regressed or unresolved.
+
+A run that is not correct exits with status 1; `all` and `spread` stop
+at it, so no result set holds its figures.
 """
 
 import argparse
@@ -69,7 +72,9 @@ def work_dir():
 
 
 def run_once(binary, workload, seed, seconds, trace, quiet=False):
-    """Runs the benchmark binary once; returns the parsed result line."""
+    """Runs the benchmark binary once; returns its output lines, the
+    parsed result line, and whether the run was correct (exit status 0,
+    `correct` true, no failed operation)."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace),
            "--work-dir", work_dir()]
@@ -77,16 +82,31 @@ def run_once(binary, workload, seed, seconds, trace, quiet=False):
                           stderr=subprocess.DEVNULL if quiet else None,
                           timeout=RUN_TIMEOUT_S, text=True)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"perfbench: {workload} seed {seed} failed "
-                         f"({done.returncode})")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"perfbench: {workload} seed {seed} printed no "
+                         f"result ({done.returncode})")
     expected = [m["name"] for m in
                 load_benchmark()["per_layer" if trace else "end_to_end"]]
     if sorted(result["metrics"]) != sorted(expected):
         raise SystemExit("perfbench: metrics differ from BENCHMARK.json: "
                          f"{sorted(set(result['metrics']) ^ set(expected))}")
-    return lines, result
+    correct = (done.returncode == 0 and result["correct"]
+               and result["failed"] == 0)
+    return lines, result, correct
+
+
+def correct_run(binary, workload, seed, seconds, trace, quiet=False):
+    """run_once for the modes that aggregate runs: a run that is not
+    correct stops them, so its figures are never saved or compared."""
+    _, result, correct = run_once(binary, workload, seed, seconds, trace,
+                                  quiet)
+    if not correct:
+        raise SystemExit(f"perfbench: {workload} seed {seed} is not correct: "
+                         f"{result['failed']} of {result['attempted']} "
+                         "operations failed")
+    return result
 
 
 def quartile_spread(values):
@@ -105,9 +125,11 @@ def parse_seeds(text):
 
 def cmd_run(args):
     binary = build()
-    lines, _ = run_once(binary, args.workload, args.seed, args.seconds,
-                        args.trace)
+    lines, _, correct = run_once(binary, args.workload, args.seed,
+                                 args.seconds, args.trace)
     print("\n".join(lines))
+    if not correct:
+        sys.exit(1)
 
 
 def cmd_all(args):
@@ -115,7 +137,7 @@ def cmd_all(args):
     bench = load_benchmark()
     rows = []
     for w in bench["workloads"]:
-        _, result = run_once(binary, w["name"], args.seed, args.seconds, 0)
+        result = correct_run(binary, w["name"], args.seed, args.seconds, 0)
         rows.append((w["name"], result))
     print(f"{'workload':<18} {'metric':<18} {'value':>14}  unit")
     for name, result in rows:
@@ -133,18 +155,19 @@ def cmd_spread(args):
     catalogue = bench["per_layer" if args.trace else "end_to_end"]
     seeds = parse_seeds(args.seeds)
     values = {m["name"]: [] for m in catalogue}
-    failures = 0
+    attempted = 0
     for seed in seeds:
         start = time.time()
-        _, result = run_once(binary, args.workload, seed, args.seconds,
+        result = correct_run(binary, args.workload, seed, args.seconds,
                              args.trace, quiet=True)
-        failures += result["failed"] + (not result["correct"])
+        attempted += result["attempted"]
         for name in values:
             values[name].append(result["metrics"][name]["value"])
         print(f"seed {seed}: {time.time() - start:.1f} s, "
               f"{result['failed']} of {result['attempted']} failed",
               file=sys.stderr)
-    print(f"{args.workload}: {len(seeds)} seeds, {failures} failures")
+    print(f"{args.workload}: {len(seeds)} seeds, {attempted} operations, "
+          "none failed")
     for m in catalogue:
         vals = values[m["name"]]
         if len(vals) < 2:
@@ -165,26 +188,39 @@ def cmd_spread(args):
                 doc = json.load(f)
         # Runs of one workload at the same --seconds accumulate, so the
         # two sides of a comparison can be measured seed by seed in turn.
+        # Only correct runs are saved; `failed` is kept so that `compare`
+        # can weigh failures in result sets made otherwise.
         old = doc.get(args.workload)
+        failed = 0
         if old and old["seconds"] == args.seconds:
             seeds = old["seeds"] + seeds
             values = {m: old["metrics"][m] + v for m, v in values.items()}
+            attempted += old.get("attempted", 0)
+            failed = old.get("failed", 0)
         doc[args.workload] = {"seeds": seeds, "seconds": args.seconds,
+                              "attempted": attempted, "failed": failed,
                               "metrics": values}
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
 
 
-def verdict(parent, change, better, bound):
+def failure_rate(side):
+    return side.get("failed", 0) / max(side.get("attempted", 0), 1)
+
+
+def verdict(parent, change, better, bound, more_failures=False):
     """The verdict for one (workload, metric) pair of result sets.
 
-    improved: the change wins at least 9 of 10 pairs and the medians
-    differ by more than the parent's interquartile range. regressed: the
-    change's median is worse than the parent's by more than the bound.
+    regressed: more of the change's operations failed than the parent's,
+    or the change's median is worse than the parent's by more than the
+    bound. improved: the change wins at least 9 of 10 pairs and the
+    medians differ by more than the parent's interquartile range.
     unresolved: the parent's own spread is wider than the bound and not
     every change run beats every parent run. Otherwise unchanged.
     """
+    if more_failures:
+        return "regressed"
     sign = 1 if better == "higher" else -1
     mp, q1p, q3p, spread = quartile_spread(parent)
     mc = statistics.median(change)
@@ -217,10 +253,14 @@ def cmd_compare(args):
             print(f"{name:<16} (missing from a result set)")
             worst = max(worst, 1)
             continue
+        more_failures = failure_rate(change[name]) > failure_rate(parent[name])
+        if more_failures:
+            print(f"{name:<16} more failed operations than the parent: "
+                  f"{change[name]['failed']} of {change[name]['attempted']}")
         for m in bench["end_to_end"]:
             p = parent[name]["metrics"][m["name"]]
             c = change[name]["metrics"][m["name"]]
-            v = verdict(p, c, m["better"], m["bound"])
+            v = verdict(p, c, m["better"], m["bound"], more_failures)
             cells = []
             for vals in (p, c):
                 q1, med, q3 = statistics.quantiles(vals, n=4)

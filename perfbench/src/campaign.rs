@@ -8,9 +8,6 @@ use ftsched_campaign::{run_campaign, CampaignSpec, ExecutorConfig};
 use crate::metrics::RunResult;
 use crate::stats;
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 3;
-
 pub fn config(threads: usize, design_cache: bool) -> ExecutorConfig {
     ExecutorConfig {
         threads,
@@ -51,28 +48,26 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Set-up, repeated [`SETUP_REPEATS`] times: build the spec, compute the
-/// expected report on the uncached reference path, and warm up once on
-/// the cached path. Returns the spec, the expected bytes and the median
-/// set-up time; a set-up whose expected bytes differ from the first one's
-/// counts as a failed operation.
-pub fn setup(build: impl Fn() -> CampaignSpec, run: &mut RunResult) -> (CampaignSpec, String, f64) {
-    let mut times = Vec::new();
-    let mut first: Option<(CampaignSpec, String)> = None;
-    for _ in 0..SETUP_REPEATS {
-        let start = Instant::now();
-        let spec = build();
-        let (expected, _) = reference_report(&spec);
-        let (warm, _) = run_and_encode(&spec, &config(nproc(), true));
-        times.push(start.elapsed().as_secs_f64());
-        run.check(warm == expected);
-        match &first {
-            Some((_, bytes)) => run.check(*bytes == expected),
-            None => first = Some((spec, expected)),
-        }
+/// One set-up: build the spec, compute the expected report on the
+/// uncached reference path, and warm up once on the cached path. Returns
+/// the spec, the expected bytes and the set-up time. A warm-up whose
+/// bytes differ from the reference, or a reference that differs from
+/// `first`'s, counts as a failed operation.
+fn set_up(
+    build: &impl Fn() -> CampaignSpec,
+    first: Option<&str>,
+    run: &mut RunResult,
+) -> (CampaignSpec, String, f64) {
+    let start = Instant::now();
+    let spec = build();
+    let (expected, _) = reference_report(&spec);
+    let (warm, _) = run_and_encode(&spec, &config(nproc(), true));
+    let secs = start.elapsed().as_secs_f64();
+    run.check(warm == expected);
+    if let Some(first) = first {
+        run.check(first == expected);
     }
-    let (spec, expected) = first.expect("at least one set-up");
-    (spec, expected, stats::median(&times))
+    (spec, expected, secs)
 }
 
 /// Campaign runs per thread count a run makes at least, so that the
@@ -81,23 +76,33 @@ const MIN_RUNS: usize = 40;
 
 /// Measures for `seconds` (and at least [`MIN_RUNS`] runs each):
 /// alternating 1-thread and nproc campaign runs, each checked byte for
-/// byte against the expected report. Throughput is the trials of one
-/// campaign over its median wall time.
+/// byte against the expected report, with the set-ups spread over the
+/// window. Throughput is the trials of one campaign over its median wall
+/// time, so `latency_p50_ms` is `1000 × trials / throughput` and carries
+/// no evidence of its own; `latency_tail_ms` (p75) does.
 pub fn measure(build: impl Fn() -> CampaignSpec, seconds: f64) -> RunResult {
     let mut run = RunResult::default();
-    let (spec, expected, setup_s) = setup(build, &mut run);
+    let (spec, expected, first) = set_up(&build, None, &mut run);
+    let mut setups = vec![first];
     let trials = spec.trial_count() as f64;
     let threads = nproc();
     let mut serial = Vec::new();
     let mut parallel = Vec::new();
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < seconds || serial.len() < MIN_RUNS {
+        if stats::setup_due(setups.len(), start.elapsed().as_secs_f64(), seconds) {
+            setups.push(set_up(&build, Some(&expected), &mut run).2);
+        }
         for (threads, walls) in [(1, &mut serial), (threads, &mut parallel)] {
             let (json, wall) = run_and_encode(&spec, &config(threads, true));
             run.check(json == expected);
             walls.push(wall.as_secs_f64());
         }
     }
+    while setups.len() < stats::SETUP_REPEATS {
+        setups.push(set_up(&build, Some(&expected), &mut run).2);
+    }
+    let setup_s = stats::median(&setups);
     let throughput = trials / stats::median(&parallel);
     let throughput_1t = trials / stats::median(&serial);
     let p50 = stats::median(&parallel) * 1e3;

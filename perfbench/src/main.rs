@@ -8,7 +8,8 @@
 //! `--trace 0` measures the end-to-end metrics; `--trace 1` runs the
 //! traced replay and reports the per-layer metrics. Either way the last
 //! line of standard output is one JSON object with `correct`,
-//! `attempted`, `failed` and `metrics`. `--work-dir` holds the serve
+//! `attempted`, `failed` and `metrics`; a run that is not correct exits
+//! with status 1 after printing it. `--work-dir` holds the serve
 //! workload's sockets and the traced run's span file.
 
 mod campaign;
@@ -158,5 +159,10 @@ fn main() -> ExitCode {
         }
     }
     println!("{}", run.to_json_line(catalogue));
-    ExitCode::SUCCESS
+    if run.is_correct(catalogue) {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("perfbench: the run is not correct");
+        ExitCode::FAILURE
+    }
 }

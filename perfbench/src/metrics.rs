@@ -108,16 +108,29 @@ impl RunResult {
         self.failed += u64::from(!ok);
     }
 
+    fn value(&self, name: &str) -> f64 {
+        self.metrics.get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Whether the run is correct: an operation was attempted, none
+    /// failed, and every value of `catalogue` is finite.
+    pub fn is_correct(&self, catalogue: &[(&str, &str)]) -> bool {
+        self.failed == 0
+            && self.attempted > 0
+            && catalogue
+                .iter()
+                .all(|&(name, _)| self.value(name).is_finite())
+    }
+
     /// The final JSON line. `catalogue` names every metric the line must
-    /// carry; one that was not measured reads 0. The run is correct when
-    /// no operation failed and every value is finite.
+    /// carry; one that was not measured reads 0, as does one that is not
+    /// finite (which makes the run incorrect).
     pub fn to_json_line(&self, catalogue: &[(&str, &str)]) -> String {
-        let mut correct = self.failed == 0 && self.attempted > 0;
+        let correct = self.is_correct(catalogue);
         let mut fields = Vec::with_capacity(catalogue.len());
         for &(name, unit) in catalogue {
-            let mut value = self.metrics.get(name).copied().unwrap_or(0.0);
+            let mut value = self.value(name);
             if !value.is_finite() {
-                correct = false;
                 value = 0.0;
             }
             fields.push(format!(

@@ -1,14 +1,17 @@
 //! The traced campaign run: every trial replayed serially through the
 //! layers' public functions, with a span around each call. The replay
-//! follows the campaign executor's uncached trial path call for call, so
-//! its statuses — and its whole report — must equal `run_campaign`'s.
+//! follows the campaign executor's trial path call for call — a paper
+//! scenario's design prefix once per design-cache key, as the executor
+//! computes it — so its statuses, and its whole report, must equal
+//! `run_campaign`'s.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use ftsched_campaign::cache::DesignKey;
 use ftsched_campaign::prelude::trial_seed;
 use ftsched_campaign::stats::{LatencyCurve, ResponseHistogram, TaskResponse};
 use ftsched_campaign::trial::{BaselineVerdicts, SimSummary};
@@ -25,10 +28,11 @@ use ftsched_design::partitioner::partition_system;
 use ftsched_design::quanta::distribute_slack;
 use ftsched_design::region::{max_feasible_period_with, max_slack_ratio_period_with};
 use ftsched_design::sensitivity::wcet_scaling_margin_with;
-use ftsched_design::{DesignError, DesignGoal, DesignProblem, DesignSolution};
-use ftsched_sim::{simulate_in, SimArena, SimulationConfig, SimulationReport};
+use ftsched_design::{AnalysisContext, DesignError, DesignGoal, DesignProblem, DesignSolution};
+use ftsched_platform::FaultSchedule;
+use ftsched_sim::{simulate_in, SimArena, SimulationConfig, SimulationReport, SlotSchedule};
 use ftsched_task::generator::generate_taskset;
-use ftsched_task::{TaskSet, Time};
+use ftsched_task::{SystemPartition, TaskSet, Time};
 
 use crate::campaign::{config, nproc, reference_report, run_and_encode};
 use crate::metrics::RunResult;
@@ -105,11 +109,20 @@ pub fn replay(spec: &CampaignSpec, tracer: &mut Tracer) -> Replay {
         STATUSES.iter().map(|&s| (status_name(s), 0)).collect();
     let mut counts = ReplayCounts::default();
     let mut arena = SimArena::new();
+    let mut designs = HashMap::new();
     for scenario in &scenarios {
         for trial in 0..spec.trials_per_scenario {
             let group = (scenario.index * spec.trials_per_scenario + trial) as u64;
             tracer.open("trial", group);
-            let outcome = replay_trial(spec, scenario, trial, tracer, &mut arena, &mut counts);
+            let outcome = replay_trial(
+                spec,
+                scenario,
+                trial,
+                &mut designs,
+                tracer,
+                &mut arena,
+                &mut counts,
+            );
             tracer.span("campaign.fold", || stats[scenario.index].observe(&outcome));
             tracer.close();
             *tallies.entry(status_name(outcome.status)).or_insert(0) += 1;
@@ -130,14 +143,144 @@ pub fn replay(spec: &CampaignSpec, tracer: &mut Tracer) -> Replay {
     }
 }
 
-/// Mirrors the executor's uncached trial: seed, workload, partition,
-/// problem, context, baselines, period search, allocation, fault draw,
-/// simulation, margin and summary, in the executor's order (the RNG
-/// draws the task set first and the fault schedule second).
+/// The design stage of one trial, from the problem to the slot schedule.
+/// It needs no randomness, so a paper trial's is a pure function of its
+/// [`DesignKey`] and the replay, like the executor's design cache,
+/// computes it once per key.
+struct DesignPrefix {
+    baselines: Option<BaselineVerdicts>,
+    /// Simulation horizon; `None` when the problem was invalid.
+    horizon: Option<f64>,
+    stage: Result<Box<Designed>, TrialStatus>,
+}
+
+struct Designed {
+    problem: DesignProblem,
+    ctx: AnalysisContext,
+    solution: DesignSolution,
+    slots: SlotSchedule,
+    /// Set in a paper prefix, which computes the margin once per key.
+    wcet_margin: Option<f64>,
+}
+
+/// Problem, context, baselines, period search and allocation, each in
+/// its span.
+fn design_prefix(
+    spec: &CampaignSpec,
+    scenario: &Scenario,
+    tasks: TaskSet,
+    partition: SystemPartition,
+    tracer: &mut Tracer,
+    counts: &mut ReplayCounts,
+) -> DesignPrefix {
+    let Ok(problem) = tracer.span("core.problem", || {
+        DesignProblem::with_total_overhead(tasks, partition, scenario.overhead, scenario.algorithm)
+    }) else {
+        return DesignPrefix {
+            baselines: None,
+            horizon: None,
+            stage: Err(TrialStatus::PartitionFailed),
+        };
+    };
+    let region = spec.region_config(&problem);
+    let ctx = tracer
+        .span("analysis.context", || problem.analysis_context())
+        .expect("a validated problem always yields a context");
+    counts.context_points += ctx.point_count() as u64;
+
+    let baselines = spec.compare_baselines.then(|| {
+        let cmp = tracer
+            .span("design.baselines", || {
+                compare_schemes_with(&problem, &ctx, &region)
+            })
+            .expect("compare_schemes is infallible on a validated problem");
+        BaselineVerdicts {
+            flexible: cmp.flexible,
+            static_lockstep: cmp.static_lockstep,
+            static_parallel: cmp.static_parallel,
+            primary_backup: cmp.primary_backup,
+        }
+    });
+    let horizon = Some(problem.tasks.hyperperiod() * spec.horizon_hyperperiods.max(1) as f64);
+    let failed = |status| DesignPrefix {
+        baselines,
+        horizon,
+        stage: Err(status),
+    };
+
+    counts.period_searches += 1;
+    counts.region_samples += region.samples as u64;
+    let period = tracer.span("design.period_search", || match spec.goal {
+        DesignGoal::MaximizeSlackBandwidth => {
+            max_slack_ratio_period_with(&ctx, &region).map(|p| p.period)
+        }
+        _ => max_feasible_period_with(&ctx, &region),
+    });
+    counts.period_rejects += u64::from(period.is_err());
+    let Ok(period) = period else {
+        return failed(TrialStatus::DesignRejected);
+    };
+    let designed = tracer.span("design.allocation", || -> Result<_, DesignError> {
+        let allocation = ctx.minimum_allocation(period)?;
+        let mut solution = DesignSolution::new(&problem, spec.goal, allocation)?;
+        solution.allocation = distribute_slack(&solution.allocation, spec.slack_policy);
+        Ok(solution)
+    });
+    let Ok(solution) = designed else {
+        return failed(TrialStatus::DesignRejected);
+    };
+    let Ok(slots) = tracer.span("design.allocation", || slots_from_solution(&solution)) else {
+        return failed(TrialStatus::SimulationFailed);
+    };
+    DesignPrefix {
+        baselines,
+        horizon,
+        stage: Ok(Box::new(Designed {
+            problem,
+            ctx,
+            solution,
+            slots,
+            wcet_margin: None,
+        })),
+    }
+}
+
+fn wcet_margin(spec: &CampaignSpec, designed: &Designed, tracer: &mut Tracer) -> Option<f64> {
+    spec.wcet_margin.map(|m| {
+        tracer
+            .span("design.wcet_margin", || {
+                wcet_scaling_margin_with(&designed.ctx, designed.solution.period, m.tolerance)
+            })
+            .expect("a designed period always admits a margin search")
+    })
+}
+
+fn draw_faults(
+    spec: &CampaignSpec,
+    horizon: f64,
+    rng: &mut StdRng,
+    tracer: &mut Tracer,
+    counts: &mut ReplayCounts,
+) -> FaultSchedule {
+    let faults = tracer.span("platform.fault_draw", || {
+        spec.faults.schedule(rng, Time::from_units(horizon))
+    });
+    counts.faults += faults.len() as u64;
+    faults
+}
+
+/// Mirrors the executor's trial: seed, workload, partition, design
+/// prefix, fault draw, simulation, margin and summary. A paper trial's
+/// design prefix comes from `designs`, as the executor's comes from its
+/// design cache, and its margin is computed with the prefix; a synthetic
+/// trial computes its prefix, draws its faults whenever the problem is
+/// valid (the executor draws them before the period search) and searches
+/// its margin only once simulated.
 fn replay_trial(
     spec: &CampaignSpec,
     scenario: &Scenario,
     trial: usize,
+    designs: &mut HashMap<DesignKey, DesignPrefix>,
     tracer: &mut Tracer,
     arena: &mut SimArena,
     counts: &mut ReplayCounts,
@@ -154,10 +297,28 @@ fn replay_trial(
         baselines,
         sim,
     };
-    let paper = matches!(spec.workload, WorkloadSpec::Paper);
 
-    let (tasks, partition) = if paper {
-        tracer.span("task.paper_example", ftsched_task::examples::paper_example)
+    let synthetic;
+    let (prefix, faults) = if matches!(spec.workload, WorkloadSpec::Paper) {
+        let key = DesignKey::new(
+            scenario.workload_point,
+            scenario.algorithm,
+            scenario.overhead,
+        );
+        let prefix = designs.entry(key).or_insert_with(|| {
+            let (tasks, partition) =
+                tracer.span("task.paper_example", ftsched_task::examples::paper_example);
+            let mut prefix = design_prefix(spec, scenario, tasks, partition, tracer, counts);
+            if let Ok(designed) = &mut prefix.stage {
+                designed.wcet_margin = wcet_margin(spec, designed, tracer);
+            }
+            prefix
+        });
+        let faults = match (&prefix.stage, prefix.horizon) {
+            (Ok(_), Some(horizon)) => Some(draw_faults(spec, horizon, &mut rng, tracer, counts)),
+            _ => None,
+        };
+        (&*prefix, faults)
     } else {
         let config = spec
             .workload
@@ -184,82 +345,30 @@ fn replay_trial(
             });
             return finish(TrialStatus::PartitionFailed, baselines, None);
         };
-        (tasks, partition)
+        synthetic = design_prefix(spec, scenario, tasks, partition, tracer, counts);
+        let faults = synthetic
+            .horizon
+            .map(|horizon| draw_faults(spec, horizon, &mut rng, tracer, counts));
+        (&synthetic, faults)
     };
 
-    let Ok(problem) = tracer.span("core.problem", || {
-        DesignProblem::with_total_overhead(tasks, partition, scenario.overhead, scenario.algorithm)
-    }) else {
-        return finish(TrialStatus::PartitionFailed, None, None);
+    let baselines = prefix.baselines;
+    let designed = match &prefix.stage {
+        Ok(designed) => designed,
+        Err(status) => return finish(*status, baselines, None),
     };
-    let region = spec.region_config(&problem);
-    let ctx = tracer
-        .span("analysis.context", || problem.analysis_context())
-        .expect("a validated problem always yields a context");
-    counts.context_points += ctx.point_count() as u64;
-
-    let baselines = spec.compare_baselines.then(|| {
-        let cmp = tracer
-            .span("design.baselines", || {
-                compare_schemes_with(&problem, &ctx, &region)
-            })
-            .expect("compare_schemes is infallible on a validated problem");
-        BaselineVerdicts {
-            flexible: cmp.flexible,
-            static_lockstep: cmp.static_lockstep,
-            static_parallel: cmp.static_parallel,
-            primary_backup: cmp.primary_backup,
-        }
-    });
-
-    // Synthetic trials draw their faults before the design stage; paper
-    // trials reuse a cached design and draw only once it succeeded.
-    let horizon = problem.tasks.hyperperiod() * spec.horizon_hyperperiods.max(1) as f64;
-    let draw = |tracer: &mut Tracer, rng: &mut StdRng, counts: &mut ReplayCounts| {
-        let faults = tracer.span("platform.fault_draw", || {
-            spec.faults.schedule(rng, Time::from_units(horizon))
-        });
-        counts.faults += faults.len() as u64;
-        faults
-    };
-    let early_faults = (!paper).then(|| draw(tracer, &mut rng, counts));
-
-    counts.period_searches += 1;
-    counts.region_samples += region.samples as u64;
-    let period = tracer.span("design.period_search", || match spec.goal {
-        DesignGoal::MaximizeSlackBandwidth => {
-            max_slack_ratio_period_with(&ctx, &region).map(|p| p.period)
-        }
-        _ => max_feasible_period_with(&ctx, &region),
-    });
-    counts.period_rejects += u64::from(period.is_err());
-    let Ok(period) = period else {
-        return finish(TrialStatus::DesignRejected, baselines, None);
-    };
-    let designed = tracer.span("design.allocation", || -> Result<_, DesignError> {
-        let allocation = ctx.minimum_allocation(period)?;
-        let mut solution = DesignSolution::new(&problem, spec.goal, allocation)?;
-        solution.allocation = distribute_slack(&solution.allocation, spec.slack_policy);
-        Ok(solution)
-    });
-    let Ok(solution) = designed else {
-        return finish(TrialStatus::DesignRejected, baselines, None);
-    };
-    let Ok(slots) = tracer.span("design.allocation", || slots_from_solution(&solution)) else {
-        return finish(TrialStatus::SimulationFailed, baselines, None);
-    };
-    let faults = early_faults.unwrap_or_else(|| draw(tracer, &mut rng, counts));
+    let faults = faults.expect("a designed trial has drawn its faults");
     let injected = faults.len() as u64;
-
+    let problem = &designed.problem;
     let record_response_times = spec.response_histogram.is_some() || spec.latency_curves.is_some();
     let simulated = tracer.span("sim.simulate", || {
         simulate_in(
             &problem.tasks,
             &problem.partition,
             problem.algorithm,
-            &slots,
+            &designed.slots,
             &SimulationConfig {
-                horizon,
+                horizon: prefix.horizon.expect("a designed problem is valid"),
                 fault_schedule: faults,
                 record_trace: false,
                 record_response_times,
@@ -270,21 +379,17 @@ fn replay_trial(
     let Ok(report) = simulated else {
         return finish(TrialStatus::SimulationFailed, baselines, None);
     };
-    let wcet_margin = spec.wcet_margin.map(|m| {
-        tracer
-            .span("design.wcet_margin", || {
-                wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
-            })
-            .expect("a designed period always admits a margin search")
-    });
+    let margin = designed
+        .wcet_margin
+        .or_else(|| wcet_margin(spec, designed, tracer));
     let sim = tracer.span("campaign.fold", || {
         summarize(
             spec,
-            &solution,
+            &designed.solution,
             &report,
             &problem.tasks,
             injected,
-            wcet_margin,
+            margin,
         )
     });
     finish(TrialStatus::Accepted, baselines, Some(sim))
@@ -541,7 +646,15 @@ pub fn traced(spec: CampaignSpec, trace_out: Option<&std::path::Path>) -> RunRes
         ns as f64 / covered.max(1.0)
     };
     run.set("trace.coverage", covered / (wall * 1e9));
-    run.set("trace.overhead", wall / uncached_1t - 1.0);
+    // The replay caches what the executor's design cache caches and no
+    // more, so its untraced twin is the cached run for a paper campaign
+    // and the uncached one for a synthetic campaign.
+    let untraced = if matches!(spec.workload, WorkloadSpec::Paper) {
+        cached_1t
+    } else {
+        uncached_1t
+    };
+    run.set("trace.overhead", wall / untraced - 1.0);
     run.set("trace.design_frac", share(&["design.", "analysis."]));
     run.set("trace.sim_frac", share(&["sim.", "platform."]));
     run.set("trace.wall_ms", wall * 1e3);
@@ -597,7 +710,15 @@ mod tests {
             horizon_hyperperiods: 1,
             ..workloads::validate_faults(11, 3)
         };
-        check_fidelity(spec);
+        check_fidelity(spec.clone());
+        // As in the executor's design cache, each scenario is designed
+        // once, however many trials it has.
+        let mut tracer = Tracer::new();
+        replay(&spec, &mut tracer);
+        let scenarios = spec.scenarios().len();
+        assert_eq!(tracer.durations_us("design.period_search").len(), scenarios);
+        assert_eq!(tracer.durations_us("analysis.context").len(), scenarios);
+        assert!(tracer.durations_us("sim.simulate").len() > scenarios);
     }
 
     #[test]

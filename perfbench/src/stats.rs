@@ -8,6 +8,17 @@ const TAIL_LADDER_PER_MILLE: [usize; 5] = [990, 950, 900, 750, 500];
 /// Samples that must lie beyond a reported percentile.
 pub const MIN_BEYOND: usize = 10;
 
+/// Set-ups a run makes; `setup_s` is their median. The first runs before
+/// timing starts and the others at even shares of the measuring window,
+/// so that they sample the host over the same span as the other metrics.
+pub const SETUP_REPEATS: usize = 5;
+
+/// Whether the next set-up is due, with `done` of them made and
+/// `elapsed` of the `seconds` the run measures gone.
+pub fn setup_due(done: usize, elapsed: f64, seconds: f64) -> bool {
+    done < SETUP_REPEATS && elapsed >= seconds * done as f64 / SETUP_REPEATS as f64
+}
+
 /// 1-based nearest rank of per-mille `pm` among `n` samples.
 fn rank(n: usize, pm: usize) -> usize {
     (n * pm).div_ceil(1000).clamp(1, n.max(1))
@@ -57,6 +68,15 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn set_ups_spread_over_the_window() {
+        assert!(!setup_due(1, 0.0, 30.0));
+        assert!(setup_due(1, 6.0, 30.0));
+        assert!(!setup_due(4, 23.9, 30.0));
+        assert!(setup_due(4, 24.0, 30.0));
+        assert!(!setup_due(SETUP_REPEATS, 1e9, 30.0));
     }
 
     #[test]
