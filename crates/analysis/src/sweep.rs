@@ -346,7 +346,7 @@ fn rescale_loads(
                 for (p, &d) in points.iter_mut().zip(&shape.base_dot) {
                     p.w = ((lm * d) as f64) * unit;
                 }
-                ftsched_obs::metrics().sweep_rescales_quantised.incr();
+                ftsched_obs::record(|m| m.sweep_rescales_quantised.incr());
                 return;
             }
         }
@@ -357,12 +357,12 @@ fn rescale_loads(
             quantise_scaled(&scratch.scaled, &mut scratch.mantissas, shape.max_span_sum)
         {
             rescale_loads_quantised(points, kind, shape, &scratch.mantissas, unit);
-            ftsched_obs::metrics().sweep_rescales_quantised.incr();
+            ftsched_obs::record(|m| m.sweep_rescales_quantised.incr());
             return;
         }
     }
     rescale_loads_scalar(points, shape, &scratch.scaled);
-    ftsched_obs::metrics().sweep_rescales_scalar.incr();
+    ftsched_obs::record(|m| m.sweep_rescales_scalar.incr());
 }
 
 /// The sequential f64 fold over the SoA layout. The fold order is exactly
@@ -544,7 +544,7 @@ impl MinQSweep {
         // Build-vs-rescale attribution for the metrics layer: a fresh
         // enumeration is the expensive path `rescale_into` exists to
         // avoid.
-        ftsched_obs::metrics().sweep_builds.incr();
+        ftsched_obs::record(|m| m.sweep_builds.incr());
         match algorithm {
             Algorithm::RateMonotonic | Algorithm::DeadlineMonotonic => {
                 let order = algorithm
@@ -698,7 +698,7 @@ impl MinQSweep {
             lambda.is_finite() && lambda > 0.0,
             "WCET scale {lambda} must be finite and positive"
         );
-        ftsched_obs::metrics().sweep_rescales.incr();
+        ftsched_obs::record(|m| m.sweep_rescales.incr());
         if !Arc::ptr_eq(&self.shape, &out.shape) {
             // Different enumeration: copy it once; subsequent rescales
             // against the same base are allocation-free.
@@ -1089,16 +1089,17 @@ mod tests {
     fn dyadic_inflations_take_the_quantised_path() {
         // sample_set's WCETs (1.0, 1.0, 2.0) sit exactly on a
         // power-of-two grid, so a dyadic λ must hit the integer kernel.
-        let m = ftsched_obs::metrics();
-        let before = m.sweep_rescales_quantised.get();
+        let m = ftsched_obs::Recorder::new();
+        let _current = m.enter();
         let base = MinQSweep::new(&sample_set(), Algorithm::RateMonotonic).unwrap();
         let mut out = base.clone();
         base.rescale_into(2.0, &mut out);
-        assert!(m.sweep_rescales_quantised.get() > before);
+        assert_eq!(m.sweep_rescales_quantised.get(), 1);
+        assert_eq!(m.sweep_rescales_scalar.get(), 0);
         // An irrational-ish λ produces full-mantissa WCETs: scalar path.
-        let before_scalar = m.sweep_rescales_scalar.get();
         base.rescale_into(1.0 / 3.0, &mut out);
-        assert!(m.sweep_rescales_scalar.get() > before_scalar);
+        assert_eq!(m.sweep_rescales_quantised.get(), 1);
+        assert_eq!(m.sweep_rescales_scalar.get(), 1);
     }
 
     #[test]

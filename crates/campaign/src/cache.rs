@@ -29,6 +29,11 @@ use std::sync::{Arc, Mutex};
 
 use ftsched_analysis::Algorithm;
 use ftsched_design::partitioner::PartitionHeuristic;
+use ftsched_obs::{CacheStats, Counter, Recorder};
+
+/// Selects one cache's tallies in a [`Recorder`], e.g.
+/// `|m| &m.design_cache`.
+pub type CacheCounters = fn(&Recorder) -> &CacheStats;
 
 /// The canonical way an `f64` overhead (or any other real-valued cache
 /// axis) becomes part of a hashable cache key: its IEEE-754 bit pattern.
@@ -118,11 +123,11 @@ pub struct MemoCache<K, V> {
     /// Stop inserting beyond this many live entries; `usize::MAX` (the
     /// [`Self::new`] default) means unbounded.
     max_entries: usize,
-    /// Hit/miss counters this cache reports into (see
-    /// [`Self::with_stats`]). These live in the *timing* half of the run
-    /// metrics: racing workers may both miss a fresh key, so the split is
-    /// scheduling-dependent.
-    stats: Option<&'static ftsched_obs::CacheStats>,
+    /// Which hit/miss counters of the current recorder this cache
+    /// reports into (see [`Self::with_stats`]). These live in the
+    /// *timing* half of the run metrics: racing workers may both miss a
+    /// fresh key, so the split is scheduling-dependent.
+    stats: Option<CacheCounters>,
     map: Mutex<HashMap<K, Entry<V>>>,
 }
 
@@ -155,11 +160,19 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
         }
     }
 
-    /// Routes this cache's hit/miss counts into `stats`. A disabled
-    /// cache reports every request as a miss (it computes every time).
-    pub fn with_stats(mut self, stats: &'static ftsched_obs::CacheStats) -> Self {
+    /// Routes this cache's hit/miss counts into the `stats` counters of
+    /// whichever recorder is current on the looking-up thread (the run's,
+    /// see [`ftsched_obs::record`]). A disabled cache reports every
+    /// request as a miss (it computes every time).
+    pub fn with_stats(mut self, stats: CacheCounters) -> Self {
         self.stats = Some(stats);
         self
+    }
+
+    fn count(&self, counter: fn(&CacheStats) -> &Counter) {
+        if let Some(stats) = self.stats {
+            ftsched_obs::record(|m| counter(stats(m)).incr());
+        }
     }
 
     /// Whether the cache stores results at all.
@@ -187,20 +200,14 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
     /// wins.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
         if !self.enabled {
-            if let Some(stats) = self.stats {
-                stats.misses.incr();
-            }
+            self.count(|c| &c.misses);
             return Arc::new(compute());
         }
         if let Some(value) = self.take_read(&key) {
-            if let Some(stats) = self.stats {
-                stats.hits.incr();
-            }
+            self.count(|c| &c.hits);
             return value;
         }
-        if let Some(stats) = self.stats {
-            stats.misses.incr();
-        }
+        self.count(|c| &c.misses);
         let value = Arc::new(compute());
         let mut map = self.map.lock().expect("cache lock poisoned");
         match map.get(&key) {

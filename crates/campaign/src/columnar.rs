@@ -290,7 +290,6 @@ impl<W: Write> ColumnarWriter<W> {
             block.push('\n');
         }
         self.put(&block)?;
-        ftsched_obs::metrics().columnar_blocks_written.incr();
         Ok(())
     }
 
@@ -808,7 +807,6 @@ pub fn read_report_str(text: &str) -> Result<CampaignReport, ColumnarError> {
 /// parse or integrity failures, plus every [`MergeFold`] validation
 /// error (mismatched specs, duplicate shards, trial counts, …).
 pub fn merge_columnar<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignReport, CampaignError> {
-    let obs = ftsched_obs::metrics();
     let mut fold = MergeFold::new();
     for path in paths {
         let path = path.as_ref();
@@ -825,7 +823,6 @@ pub fn merge_columnar<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignReport, Cam
             match reader.next_block() {
                 Ok(Some((index, stats))) => {
                     fold.add_scenario(index, &stats)?;
-                    obs.columnar_blocks_merged.incr();
                 }
                 Ok(None) => break,
                 Err(e) => {

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use ftsched_obs::Recorder;
 use ftsched_sim::SimArena;
 
 use crate::report::{CampaignReport, ScenarioReport, ShardInfo};
@@ -157,10 +158,14 @@ pub fn run_campaign_shard(
     // design stage; synthetic generation and partitioning).
     let caches = TrialCaches::new(spec, config.design_cache);
 
+    // The caller's current recorder: the run's counts land there, and
+    // every worker thread enters it so leaf sites count into it too.
+    let recorder = ftsched_obs::current();
+
     // Each block folds its contiguous trial range into per-scenario
     // accumulators, reusing the worker's simulation arena. Trial-status
-    // tallies flush into the global run counters once per block, keeping
-    // the hot loop free of shared atomics.
+    // tallies flush into the run's counters once per block, keeping the
+    // hot loop free of shared atomics.
     let run_block = |b: usize, arena: &mut SimArena| -> BlockPartials {
         let lo = shard_lo + b * block_size;
         let hi = (lo + block_size).min(shard_hi);
@@ -180,7 +185,7 @@ pub fn run_campaign_shard(
                 }
             }
         }
-        flush_statuses((hi - lo) as u64, &statuses);
+        flush_statuses(&recorder, (hi - lo) as u64, &statuses);
         partials
     };
 
@@ -203,11 +208,12 @@ pub fn run_campaign_shard(
                 print_progress(&spec.name, finished, shard_trials);
             }
         }
-        ftsched_obs::metrics().record_worker_trials(shard_trials as u64);
+        recorder.record_worker_trials(shard_trials as u64);
     } else {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
+                    let _current = recorder.enter();
                     let mut arena = SimArena::new();
                     let mut worker_trials = 0u64;
                     loop {
@@ -228,7 +234,7 @@ pub fn run_campaign_shard(
                             print_progress(&spec.name, finished, shard_trials);
                         }
                     }
-                    ftsched_obs::metrics().record_worker_trials(worker_trials);
+                    recorder.record_worker_trials(worker_trials);
                 });
             }
         });
@@ -287,14 +293,13 @@ fn status_slot(status: TrialStatus) -> usize {
     }
 }
 
-/// Flushes one block's trial tallies into the global run counters.
+/// Flushes one block's trial tallies into the run's counters.
 ///
 /// Every trial runs exactly once per campaign (or per shard slice), so
 /// these counts are pure functions of the spec — the deterministic half
 /// of the run metrics, byte-identical at any worker count and additive
 /// across shards.
-fn flush_statuses(trials: u64, statuses: &[u64; 5]) {
-    let m = ftsched_obs::metrics();
+fn flush_statuses(m: &Recorder, trials: u64, statuses: &[u64; 5]) {
     m.trials_started.add(trials);
     m.trials_completed.add(trials);
     m.trials_accepted.add(statuses[0]);

@@ -92,7 +92,9 @@ pub use checkpoint::{
 };
 pub use columnar::{merge_columnar, ColumnarError, ColumnarReader, ColumnarWriter, ReportFormat};
 pub use executor::{run_campaign, run_campaign_shard, ExecutorConfig};
-pub use metrics::{CacheCounts, RunCounters, RunMetrics, RunTimings, StageTiming};
+pub use metrics::{
+    run_campaign_recorded, CacheSnapshot, RunCounters, RunMetrics, RunTimings, StageSpan,
+};
 pub use orchestrator::{
     orchestrate, InProcessBackend, LocalProcessBackend, OrchestratorConfig, OrchestratorEvent,
     OrchestratorMetrics, OrchestratorOutcome, OrchestratorStats, ShardLaunch, WorkerBackend,
@@ -151,7 +153,7 @@ pub mod prelude {
     pub use crate::checkpoint::{load_checkpoint, write_checkpoint, Checkpoint, CheckpointError};
     pub use crate::columnar::{merge_columnar, ColumnarError, ReportFormat};
     pub use crate::executor::{run_campaign, run_campaign_shard, ExecutorConfig};
-    pub use crate::metrics::{RunCounters, RunMetrics, RunTimings};
+    pub use crate::metrics::{run_campaign_recorded, RunCounters, RunMetrics, RunTimings};
     pub use crate::orchestrator::{
         orchestrate, OrchestratorConfig, OrchestratorEvent, OrchestratorOutcome, WorkerBackend,
     };

@@ -44,8 +44,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint_in, Checkpoint, CheckpointError};
 use crate::columnar::ReportFormat;
-use crate::executor::{run_campaign_shard, ExecutorConfig};
-use crate::metrics::{RunCounters, RunMetrics};
+use crate::executor::ExecutorConfig;
+use crate::metrics::{run_campaign_recorded, RunCounters, RunMetrics};
 use crate::report::{merge_reports, merge_reports_partial, CampaignReport, ShardInfo};
 use crate::seed::trial_seed;
 use crate::spec::CampaignSpec;
@@ -215,9 +215,8 @@ impl WorkerBackend for LocalProcessBackend {
 /// An in-process backend for tests: runs the shard on this process's
 /// executor and writes the same two files a worker process would.
 ///
-/// Shard runs are serialised through a process-global lock so the
-/// before/after snapshots of the global metrics registry attribute
-/// counters to the right shard. Timeouts are not enforced (threads
+/// Each shard runs in a recorder of its own, so concurrent shards never
+/// count into each other's metrics. Timeouts are not enforced (threads
 /// cannot be killed); tests exercise timeout handling through backend
 /// wrappers instead.
 #[derive(Debug, Clone)]
@@ -226,25 +225,14 @@ pub struct InProcessBackend {
     pub threads: usize,
 }
 
-static IN_PROCESS_GATE: Mutex<()> = Mutex::new(());
-
 impl WorkerBackend for InProcessBackend {
     fn run_shard(&self, launch: &ShardLaunch<'_>) -> Result<(), WorkerFailure> {
-        let _gate = IN_PROCESS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let exec = ExecutorConfig {
             threads: self.threads,
             ..ExecutorConfig::default()
         };
-        let baseline = ftsched_obs::metrics().snapshot();
-        let started = Instant::now();
-        let report = run_campaign_shard(launch.spec, &exec, Some(launch.shard))
+        let (report, metrics) = run_campaign_recorded(launch.spec, &exec, Some(launch.shard))
             .map_err(|e| WorkerFailure::Exit(e.to_string()))?;
-        let delta = ftsched_obs::metrics().snapshot().since(&baseline);
-        let metrics = RunMetrics::from_snapshot(
-            &delta,
-            exec.effective_threads() as u64,
-            started.elapsed().as_secs_f64(),
-        );
         let write = |path: &Path, text: String| {
             std::fs::write(path, text).map_err(|e| {
                 WorkerFailure::Output(format!("cannot write `{}`: {e}", path.display()))
@@ -523,7 +511,6 @@ pub fn orchestrate<B: WorkerBackend + ?Sized>(
         ))
     })?;
 
-    let obs = ftsched_obs::metrics();
     let mut state = SupervisorState {
         pending: Vec::new(),
         in_flight: 0,
@@ -547,7 +534,6 @@ pub fn orchestrate<B: WorkerBackend + ?Sized>(
             Ok(checkpoint) => {
                 state.done[index] = Some(checkpoint);
                 state.stats.checkpoints_adopted += 1;
-                obs.orch_checkpoints_adopted.incr();
                 emit(config, OrchestratorEvent::CheckpointAdopted { shard });
             }
             Err(CheckpointError::Missing) => state.pending.push(QueuedTask {
@@ -580,12 +566,17 @@ pub fn orchestrate<B: WorkerBackend + ?Sized>(
     let wakeup = Condvar::new();
 
     if !lock(&state).pending.is_empty() {
+        // Supervisors carry the caller's recorder, so in-process shard
+        // recorders fold into it when they finish.
+        let recorder = ftsched_obs::current();
         std::thread::scope(|scope| {
             for worker_id in 0..workers {
                 let state = &state;
                 let wakeup = &wakeup;
                 let work_dir = &work_dir;
+                let recorder = &recorder;
                 scope.spawn(move || {
+                    let _current = recorder.enter();
                     supervise(worker_id, spec, config, backend, work_dir, state, wakeup)
                 });
             }
@@ -648,7 +639,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
     state: &Mutex<SupervisorState>,
     wakeup: &Condvar,
 ) {
-    let obs = ftsched_obs::metrics();
     loop {
         // Claim the next ready task (or leave when everything is done).
         let task = {
@@ -663,10 +653,8 @@ fn supervise<B: WorkerBackend + ?Sized>(
                     let task = st.pending.swap_remove(pos);
                     st.in_flight += 1;
                     st.stats.launches += 1;
-                    obs.orch_launches.incr();
                     if task.attempt > 0 && task.last_worker != Some(worker_id) {
                         st.stats.reassignments += 1;
-                        obs.orch_reassignments.incr();
                     }
                     break task;
                 }
@@ -724,7 +712,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
         match result {
             Ok(checkpoint) => {
                 st.stats.checkpoints_written += 1;
-                obs.orch_checkpoints_written.incr();
                 st.done[task.shard.index] = Some(checkpoint);
                 drop(st);
                 emit(
@@ -737,10 +724,7 @@ fn supervise<B: WorkerBackend + ?Sized>(
             }
             Err(failure) => {
                 match &failure {
-                    WorkerFailure::TimedOut(_) => {
-                        st.stats.timeouts += 1;
-                        obs.orch_timeouts.incr();
-                    }
+                    WorkerFailure::TimedOut(_) => st.stats.timeouts += 1,
                     WorkerFailure::Output(_) => st.stats.corrupt_outputs += 1,
                     WorkerFailure::Launch(_) | WorkerFailure::Exit(_) => {
                         st.stats.worker_failures += 1
@@ -749,7 +733,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
                 if task.attempt < config.max_retries {
                     let delay = config.backoff(task.shard, task.attempt);
                     st.stats.retries += 1;
-                    obs.orch_retries.incr();
                     st.pending.push(QueuedTask {
                         shard: task.shard,
                         attempt: task.attempt + 1,

@@ -296,21 +296,20 @@ impl TrialCaches {
         // (algorithm, overhead) combination.
         let gen_uses = algorithms * overheads * heuristics;
         let partition_uses = algorithms * overheads;
-        let obs = ftsched_obs::metrics();
         TrialCaches {
-            design: TrialDesignCache::new(enabled).with_stats(&obs.design_cache),
+            design: TrialDesignCache::new(enabled).with_stats(|m| &m.design_cache),
             gen: MemoCache::with_limits(
                 enabled && synthetic && gen_uses > 1,
                 gen_uses,
                 SYNTHETIC_CACHE_CAPACITY,
             )
-            .with_stats(&obs.generation_cache),
+            .with_stats(|m| &m.generation_cache),
             partition: MemoCache::with_limits(
                 enabled && synthetic && partition_uses > 1,
                 partition_uses,
                 SYNTHETIC_CACHE_CAPACITY,
             )
-            .with_stats(&obs.partition_cache),
+            .with_stats(|m| &m.partition_cache),
         }
     }
 }
@@ -462,7 +461,7 @@ fn run_trial_inner(
     if matches!(spec.workload, WorkloadSpec::Paper) {
         // One request per trial — a pure function of the spec, unlike the
         // hit/miss split, which depends on worker interleaving.
-        ftsched_obs::metrics().design_cache_requests.incr();
+        ftsched_obs::record(|m| m.design_cache_requests.incr());
         let key = DesignKey::new(
             scenario.workload_point,
             scenario.algorithm,
@@ -543,9 +542,8 @@ fn run_trial_inner(
         .workload
         .generator_config(scenario.utilization.unwrap_or(1.0))
         .expect("synthetic workloads have generator configs");
-    let obs = ftsched_obs::metrics();
-    obs.generation_cache_requests.incr();
-    let gen_span = obs.time(ftsched_obs::Stage::Generation);
+    ftsched_obs::record(|m| m.generation_cache_requests.incr());
+    let gen_span = ftsched_obs::time(ftsched_obs::Stage::Generation);
     let tasks: Option<TaskSet> = match caches.filter(|c| c.gen.enabled()) {
         Some(c) => {
             let prefix = c.gen.get_or_compute((scenario.workload_point, trial), || {
@@ -567,8 +565,8 @@ fn run_trial_inner(
     //    task set's content hash). Baselines that ignore the partition
     //    are still evaluated when partitioning fails.
     let heuristic = scenario.partition_heuristic;
-    obs.partition_cache_requests.incr();
-    let partition_span = obs.time(ftsched_obs::Stage::Partition);
+    ftsched_obs::record(|m| m.partition_cache_requests.incr());
+    let partition_span = ftsched_obs::time(ftsched_obs::Stage::Partition);
     let partition: Option<SystemPartition> = match caches.filter(|c| c.partition.enabled()) {
         Some(c) => {
             let key = PartitionKey {
@@ -580,7 +578,7 @@ fn run_trial_inner(
                 partition: partition_system(&tasks, heuristic).ok(),
             });
             if entry.tasks == tasks {
-                obs.partition_cache.verified_hits.incr();
+                ftsched_obs::record(|m| m.partition_cache.verified_hits.incr());
                 entry.partition.clone()
             } else {
                 // 64-bit content-hash collision: recompute rather than

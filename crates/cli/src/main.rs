@@ -79,7 +79,7 @@ mod ui;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ftsched_campaign::prelude::*;
 use ftsched_campaign::{checkpoint, columnar, LocalProcessBackend, MergeFold, OrchestratorMetrics};
@@ -457,19 +457,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         Some(FaultAction::Corrupt) | None => {}
     }
-    // Metrics are a delta between snapshots around the run, so nothing
-    // this process did before (spec validation, earlier subprocess work)
-    // leaks into the document.
-    let baseline = ftsched_obs::metrics().snapshot();
-    let started = Instant::now();
-    let report = match run_campaign_shard(&spec, &exec, shard) {
-        Ok(report) => report,
+    // The run counts into a recorder of its own, so nothing this process
+    // did before (spec validation, earlier subprocess work) leaks into
+    // the metrics document.
+    let (report, metrics) = match run_campaign_recorded(&spec, &exec, shard) {
+        Ok(done) => done,
         Err(e) => {
             ui::error(e.to_string());
             return ExitCode::FAILURE;
         }
     };
-    let elapsed = started.elapsed().as_secs_f64();
+    let elapsed = metrics.timing.wall_seconds;
     let trials = report.total_trials();
     ui::note(format!(
         "completed {trials} trials in {elapsed:.2}s ({:.0} trials/s)",
@@ -484,9 +482,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     println!("{}", report.render_table());
 
     if let Some(path) = metrics_json {
-        let delta = ftsched_obs::metrics().snapshot().since(&baseline);
-        let doc = RunMetrics::from_snapshot(&delta, exec.effective_threads() as u64, elapsed);
-        if !write_metrics(&doc, path) {
+        if !write_metrics(&metrics, path) {
             return ExitCode::FAILURE;
         }
     }
@@ -899,7 +895,6 @@ fn cmd_merge(args: &[String]) -> ExitCode {
                             ui::error(e.to_string());
                             return ExitCode::FAILURE;
                         }
-                        ftsched_obs::metrics().columnar_blocks_merged.incr();
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -1091,7 +1086,6 @@ fn cmd_convert(args: &[String]) -> ExitCode {
             ))
         }
     };
-    ftsched_obs::metrics().columnar_reports_converted.incr();
 
     match out {
         Some(dest) => {

@@ -151,9 +151,8 @@ pub fn design_stage_with(
 ) -> Result<(DesignSolution, SlotSchedule), PipelineError> {
     // The run count is scheduling-dependent (the campaign caches this
     // stage); the span feeds the design-vs-validate wall-clock split.
-    let metrics = ftsched_obs::metrics();
-    metrics.design_stage_runs.incr();
-    let _span = metrics.time(ftsched_obs::Stage::Design);
+    ftsched_obs::record(|m| m.design_stage_runs.incr());
+    let _span = ftsched_obs::time(ftsched_obs::Stage::Design);
     let mut solution = solve_with(problem, ctx, goal, region)?;
     solution.allocation = distribute_slack(&solution.allocation, slack_policy);
     let slots = slots_from_solution(&solution)?;
@@ -176,9 +175,8 @@ pub fn validate_stage(
 ) -> Result<PipelineOutcome, PipelineError> {
     // Validation is never cached: exactly one run per accepted trial, so
     // the counter is deterministic; the span is the timing half.
-    let metrics = ftsched_obs::metrics();
-    metrics.validate_runs.incr();
-    let _span = metrics.time(ftsched_obs::Stage::Validate);
+    ftsched_obs::record(|m| m.validate_runs.incr());
+    let _span = ftsched_obs::time(ftsched_obs::Stage::Validate);
     let hyperperiod = problem.tasks.hyperperiod();
     let horizon = hyperperiod * config.horizon_hyperperiods.max(1) as f64;
     let simulation = simulate_in(

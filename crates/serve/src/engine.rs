@@ -1,8 +1,8 @@
 //! The admission engine: the paper's design stage behind hot caches.
 //!
 //! Two memo tables (both [`ftsched_campaign::cache::MemoCache`], both
-//! reporting into the `ftsched_obs` timing half) sit between a request
-//! and the feasible-period search:
+//! reporting into the engine's own `ftsched_obs` recorder) sit between
+//! a request and the feasible-period search:
 //!
 //! * the **admission cache** memoises whole decisions, keyed by
 //!   [`AdmissionKey`] — the task set's content hash crossed with every
@@ -27,7 +27,7 @@
 //! [`ServeSummary`] reports its p50/p95/p99.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ftsched_analysis::Algorithm;
@@ -39,6 +39,7 @@ use ftsched_design::partitioner::{partition_system, PartitionHeuristic};
 use ftsched_design::quanta::SlackPolicy;
 use ftsched_design::region::RegionConfig;
 use ftsched_design::{AnalysisContext, DesignGoal, DesignProblem, DesignSolution};
+use ftsched_obs::Recorder;
 use ftsched_task::{Task, TaskSet};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -227,22 +228,22 @@ pub struct AdmissionEngine {
     admitted: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
-    /// Obs baseline at engine creation: cache stats are process-global,
-    /// the summary reports this engine's delta.
-    obs_baseline: ftsched_obs::MetricsSnapshot,
+    /// This engine's metrics: every decision runs with it entered, on
+    /// whichever thread decides it. Folds into the recorder that was
+    /// current at creation when the engine drops.
+    recorder: Arc<Recorder>,
 }
 
 impl AdmissionEngine {
-    /// Builds an engine; cache hit/miss tallies route into the
-    /// process-global `ftsched_obs` registry
-    /// (`serve_admission_cache` / `serve_context_cache`).
+    /// Builds an engine with a recorder of its own; cache hit/miss
+    /// tallies route into its `serve_admission_cache` /
+    /// `serve_context_cache` counters.
     pub fn new(config: EngineConfig) -> Self {
-        let obs = ftsched_obs::metrics();
         AdmissionEngine {
             admission: MemoCache::with_limits(config.cache, 0, config.cache_capacity)
-                .with_stats(&obs.serve_admission_cache),
+                .with_stats(|m| &m.serve_admission_cache),
             contexts: MemoCache::with_limits(config.cache, 0, config.cache_capacity)
-                .with_stats(&obs.serve_context_cache),
+                .with_stats(|m| &m.serve_context_cache),
             latency: Mutex::new(LatencyCurve::new(LatencyCurveSpec {
                 bin_width: config.latency_bin_us,
                 bins: config.latency_bins,
@@ -252,7 +253,7 @@ impl AdmissionEngine {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            obs_baseline: obs.snapshot(),
+            recorder: Recorder::new(),
         }
     }
 
@@ -260,6 +261,7 @@ impl AdmissionEngine {
     /// pure function of the request: caches and timing can change how
     /// fast the answer arrives, never what it says.
     pub fn admit(&self, request: &AdmissionRequest) -> AdmissionResponse {
+        let _current = self.recorder.enter();
         let start = Instant::now();
         let verdict = self.decide(request);
         let micros = start.elapsed().as_nanos() as f64 / 1_000.0;
@@ -277,7 +279,8 @@ impl AdmissionEngine {
     /// Decides a batch on the rayon pool. Responses come back in
     /// request order regardless of worker count; parse failures
     /// (`Err(reason)` slots) become structured error responses in
-    /// place.
+    /// place. Every worker counts into this engine's recorder, which
+    /// [`Self::admit`] enters.
     pub fn admit_batch(
         &self,
         batch: &[Result<AdmissionRequest, String>],
@@ -307,7 +310,7 @@ impl AdmissionEngine {
         // overflow bin; clamp to the histogram span so summaries stay
         // finite (and JSON-serialisable).
         let q = |p: f64| latency.histogram.quantile(p).min(self.latency_span);
-        let obs = ftsched_obs::metrics().snapshot().since(&self.obs_baseline);
+        let obs = self.recorder.snapshot().timing;
         ServeSummary {
             requests: self.requests.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -317,10 +320,10 @@ impl AdmissionEngine {
             latency_p50_us: q(0.50),
             latency_p95_us: q(0.95),
             latency_p99_us: q(0.99),
-            admission_cache_hits: obs.timing.serve_admission_cache.hits,
-            admission_cache_misses: obs.timing.serve_admission_cache.misses,
-            context_cache_hits: obs.timing.serve_context_cache.hits,
-            context_cache_misses: obs.timing.serve_context_cache.misses,
+            admission_cache_hits: obs.serve_admission_cache.hits,
+            admission_cache_misses: obs.serve_admission_cache.misses,
+            context_cache_hits: obs.serve_context_cache.hits,
+            context_cache_misses: obs.serve_context_cache.misses,
         }
     }
 
@@ -345,10 +348,7 @@ impl AdmissionEngine {
             verdict: self.compute_verdict(request, &tasks),
         });
         if entry.tasks == tasks {
-            ftsched_obs::metrics()
-                .serve_admission_cache
-                .verified_hits
-                .incr();
+            self.recorder.serve_admission_cache.verified_hits.incr();
             entry.verdict.clone()
         } else {
             // 64-bit content-hash collision: recompute rather than trust
@@ -365,10 +365,7 @@ impl AdmissionEngine {
         });
         let fallback;
         let prepared = if entry.tasks == *tasks {
-            ftsched_obs::metrics()
-                .serve_context_cache
-                .verified_hits
-                .incr();
+            self.recorder.serve_context_cache.verified_hits.incr();
             &entry.prepared
         } else {
             fallback = prepare(tasks, request);

@@ -311,22 +311,23 @@ pub fn simulate_in(
     // them — see `arena_reuse_is_bit_identical_to_fresh_allocation`),
     // while the arena tallies are scheduling-dependent and live in the
     // timing half.
-    let m = ftsched_obs::metrics();
-    m.sim_runs.incr();
-    m.sim_windows.add(windows_walked);
-    m.sim_slices.add(slices_scheduled);
-    m.sim_jobs_released.add(released_jobs);
-    m.sim_jobs_completed.add(completed_jobs);
-    m.sim_faults_injected
-        .add(config.fault_schedule.len() as u64);
-    m.sim_events.add(events_processed);
-    m.sim_idle_spans_jumped.add(idle_jumps);
-    m.sim_ticks_materialised.add(fault_ticks);
-    if arena_warm {
-        m.arena_reused.incr();
-    } else {
-        m.arena_fresh.incr();
-    }
+    ftsched_obs::record(|m| {
+        m.sim_runs.incr();
+        m.sim_windows.add(windows_walked);
+        m.sim_slices.add(slices_scheduled);
+        m.sim_jobs_released.add(released_jobs);
+        m.sim_jobs_completed.add(completed_jobs);
+        m.sim_faults_injected
+            .add(config.fault_schedule.len() as u64);
+        m.sim_events.add(events_processed);
+        m.sim_idle_spans_jumped.add(idle_jumps);
+        m.sim_ticks_materialised.add(fault_ticks);
+        if arena_warm {
+            m.arena_reused.incr();
+        } else {
+            m.arena_fresh.incr();
+        }
+    });
 
     Ok(SimulationReport {
         horizon: config.horizon,

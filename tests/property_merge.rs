@@ -138,29 +138,21 @@ fn arb_outcome() -> impl Strategy<Value = TrialOutcome> {
 }
 
 /// Strategy: one randomized deterministic-counter block, covering the
-/// whole `u64` range so saturation is exercised too.
+/// whole `u64` range so saturation is exercised too. The field names
+/// come from the counter table through the serialised form, so a new
+/// counter is covered without touching this file.
 fn arb_counters() -> impl Strategy<Value = RunCounters> {
-    prop::collection::vec(any::<u64>(), 20).prop_map(|v| RunCounters {
-        trials_started: v[0],
-        trials_completed: v[1],
-        trials_accepted: v[2],
-        trials_generation_failed: v[3],
-        trials_partition_failed: v[4],
-        trials_design_rejected: v[5],
-        trials_simulation_failed: v[6],
-        design_cache_requests: v[7],
-        generation_cache_requests: v[8],
-        partition_cache_requests: v[9],
-        validate_runs: v[10],
-        sim_runs: v[11],
-        sim_windows: v[12],
-        sim_slices: v[13],
-        sim_jobs_released: v[14],
-        sim_jobs_completed: v[15],
-        sim_faults_injected: v[16],
-        sim_events: v[17],
-        sim_idle_spans_jumped: v[18],
-        sim_ticks_materialised: v[19],
+    let names: Vec<String> = match serde_json::to_value(&RunCounters::default()) {
+        serde::Value::Map(fields) => fields.into_iter().map(|(name, _)| name).collect(),
+        other => panic!("counters serialise as a map, not {other:?}"),
+    };
+    prop::collection::vec(any::<u64>(), names.len()).prop_map(move |values| {
+        let fields = names
+            .iter()
+            .cloned()
+            .zip(values.into_iter().map(serde::Value::U64))
+            .collect();
+        serde::Deserialize::from_value(&serde::Value::Map(fields)).unwrap()
     })
 }
 

@@ -21,9 +21,8 @@ fn transcript(log: &str, config: EngineConfig, batch_size: usize) -> String {
     String::from_utf8(out).unwrap()
 }
 
-// One test body covers every configuration: the worker-count env var
-// and the obs cache counters are process-global, so the sweep and the
-// summary accounting must stay sequential.
+// One test body covers every configuration: the worker-count env var is
+// process-global, so the sweep must stay sequential.
 #[test]
 fn replay_reproduces_the_golden_transcript_at_any_thread_count() {
     let log = repo_file("examples/serve_requests.jsonl");
