@@ -7,8 +7,9 @@
 //! * `WorkloadSpec::Paper` campaigns run the *same* task set through the
 //!   *same* design pipeline on every trial — only the per-trial fault
 //!   draw differs. The design stage (feasible-period search, goal
-//!   optimisation, quanta allocation, baseline comparison) is keyed by
-//!   [`DesignKey`].
+//!   optimisation, quanta allocation, baseline comparison) and the
+//!   design's simulated schedule, which faults never change, are keyed
+//!   by [`DesignKey`]; each trial only classifies its fault draw.
 //! * Synthetic campaigns pair trials across the algorithm / overhead /
 //!   partition-heuristic axes: scenarios sharing a workload point draw
 //!   **identical** task sets per trial index. Workload generation is

@@ -34,7 +34,7 @@ use ftsched_sim::SimArena;
 use crate::report::{CampaignReport, ScenarioReport, ShardInfo};
 use crate::spec::CampaignSpec;
 use crate::stats::ScenarioStats;
-use crate::trial::{run_trial_with, TrialCaches, TrialStatus};
+use crate::trial::{prime_design_cache, run_trial_with, TrialCaches, TrialStatus};
 use crate::CampaignError;
 
 /// Execution knobs. These may change *how fast* a campaign runs, never
@@ -157,6 +157,14 @@ pub fn run_campaign_shard(
     // Deterministic trial stages shared across every worker (paper
     // design stage; synthetic generation and partitioning).
     let caches = TrialCaches::new(spec, config.design_cache);
+    // The paper design prefixes of the shard's scenarios, schedules
+    // included, are built here before any worker spawns: every trial
+    // then only classifies its fault draw, and the shared schedules live
+    // in this thread's heap instead of growing each worker's.
+    if shard_trials > 0 {
+        let touched = &scenarios[shard_lo / trials_per..=(shard_hi - 1) / trials_per];
+        prime_design_cache(spec, touched, &caches);
+    }
 
     // The caller's current recorder: the run's counts land there, and
     // every worker thread enters it so leaf sites count into it too.

@@ -14,8 +14,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use ftsched_core::pipeline::{design_stage_with, validate_stage, PipelineError, PipelineOutcome};
-use ftsched_core::PipelineConfig;
+use ftsched_core::pipeline::{
+    design_stage_with, validation_horizon, validation_span, PipelineError, PipelineOutcome,
+};
 use ftsched_design::baseline::compare_schemes_with;
 use ftsched_design::partitioner::partition_system;
 use ftsched_design::problem::DesignProblem;
@@ -24,7 +25,7 @@ use ftsched_design::sensitivity::wcet_scaling_margin_with;
 use ftsched_design::DesignSolution;
 use ftsched_platform::FaultSchedule;
 use ftsched_sim::report::OutcomeCounts;
-use ftsched_sim::{SimArena, SimulationReport, SlotSchedule};
+use ftsched_sim::{Schedule, ScheduleConfig, SimArena, SimError, SlotSchedule};
 use ftsched_task::generator::generate_taskset;
 use ftsched_task::{PerMode, SystemPartition, TaskSet, Time};
 
@@ -90,19 +91,19 @@ pub struct SimSummary {
 }
 
 impl SimSummary {
-    fn from_report(
-        outcome: &PipelineOutcome,
+    /// The fault-free part of every summary of one design: everything
+    /// but the fault counts, which `classify_trial` fills per draw.
+    fn fault_free(
+        solution: &DesignSolution,
+        schedule: &Schedule,
         tasks: &TaskSet,
-        injected_faults: u64,
         histogram: Option<ResponseHistogramSpec>,
         wcet_margin: Option<f64>,
         latency_spec: Option<LatencyCurveSpec>,
     ) -> Self {
-        let report: &SimulationReport = &outcome.simulation;
+        let recorded = schedule.response_times();
         let response = histogram.map(|spec| {
-            report
-                .response_times
-                .as_ref()
+            recorded
                 .map(|per_task| {
                     // BTreeMap iteration: task-id order, deterministic.
                     per_task
@@ -122,33 +123,31 @@ impl SimSummary {
         // all tasks (BTreeMap order: task-id, then completion-record
         // order within a task — deterministic). The normalisation matches
         // `SimulationReport::normalized_response_times`, inlined here so
-        // the per-trial hot path allocates nothing.
+        // the per-trial synthetic path allocates nothing.
         let latency = latency_spec.map(|spec| {
             let mut curve = LatencyCurve::new(spec);
-            if let Some(recorded) = &report.response_times {
-                for (task, times) in recorded {
-                    let Some(deadline) = tasks.get(*task).map(|t| t.deadline) else {
-                        continue;
-                    };
-                    for &rt in times {
-                        curve.observe(rt / deadline);
-                    }
+            for (task, times) in recorded.into_iter().flatten() {
+                let Some(deadline) = tasks.get(*task).map(|t| t.deadline) else {
+                    continue;
+                };
+                for &rt in times {
+                    curve.observe(rt / deadline);
                 }
             }
             curve
         });
         SimSummary {
-            period: outcome.solution.period,
-            slack_bandwidth: outcome.solution.slack_bandwidth(),
-            overhead_bandwidth: outcome.solution.overhead_bandwidth(),
-            released_jobs: report.released_jobs,
-            completed_jobs: report.completed_jobs,
-            deadline_misses: report.deadline_misses,
-            injected_faults,
-            effective_faults: report.effective_faults,
-            outcomes: report.outcomes,
-            max_response_time: report
-                .worst_response_times
+            period: solution.period,
+            slack_bandwidth: solution.slack_bandwidth(),
+            overhead_bandwidth: solution.overhead_bandwidth(),
+            released_jobs: schedule.released_jobs(),
+            completed_jobs: schedule.completed_jobs(),
+            deadline_misses: schedule.deadline_misses(),
+            injected_faults: 0,
+            effective_faults: 0,
+            outcomes: PerMode::splat(OutcomeCounts::default()),
+            max_response_time: schedule
+                .worst_response_times()
                 .values()
                 .fold(0.0_f64, |acc, &rt| acc.max(rt)),
             response,
@@ -156,6 +155,72 @@ impl SimSummary {
             latency,
         }
     }
+}
+
+/// A Paper design's fault-independent validation, shared by every fault
+/// draw of its trials: the schedule over the trial horizon and the
+/// fault-free part of each trial's summary.
+#[derive(Debug)]
+struct Validation {
+    schedule: Schedule,
+    summary: SimSummary,
+}
+
+/// Applies one trial's fault draw to a design's schedule: fills the fault
+/// counts into the design's fault-free `summary`, and also returns the
+/// full pipeline outcome when `full` carries the design.
+fn classify_trial(
+    schedule: &Schedule,
+    mut summary: SimSummary,
+    faults: &FaultSchedule,
+    full: Option<(&DesignSolution, &SlotSchedule)>,
+    arena: &mut SimArena,
+) -> (SimSummary, Option<PipelineOutcome>) {
+    summary.injected_faults = faults.len() as u64;
+    let outcome = match full {
+        Some((solution, slots)) => {
+            let simulation = schedule.report(faults, arena);
+            summary.outcomes = simulation.outcomes;
+            summary.effective_faults = simulation.effective_faults;
+            Some(PipelineOutcome {
+                solution: solution.clone(),
+                slots: slots.clone(),
+                simulation,
+            })
+        }
+        None => {
+            let classified = schedule.classify(faults, arena);
+            summary.outcomes = classified.outcomes;
+            summary.effective_faults = classified.effective_faults;
+            None
+        }
+    };
+    (summary, outcome)
+}
+
+/// Builds the schedule of a designed trial over the spec's horizon,
+/// recording the response times its metrics need, plus the trace when
+/// asked.
+fn build_schedule(
+    spec: &CampaignSpec,
+    problem: &DesignProblem,
+    slots: &SlotSchedule,
+    record_trace: bool,
+    arena: &mut SimArena,
+) -> Result<Schedule, SimError> {
+    let config = ScheduleConfig {
+        horizon: validation_horizon(problem, spec.horizon_hyperperiods),
+        record_trace,
+        record_response_times: spec.response_histogram.is_some() || spec.latency_curves.is_some(),
+    };
+    Schedule::build(
+        &problem.tasks,
+        &problem.partition,
+        problem.algorithm,
+        slots,
+        &config,
+        arena,
+    )
 }
 
 /// Baseline-scheme verdicts for one trial, in the fixed scheme order
@@ -209,7 +274,7 @@ enum PaperStage {
     /// Feasibility verdict of a [`TrialKind::DesignOnly`] campaign.
     DesignOnly { feasible: bool },
     /// Full design-stage result of a [`TrialKind::DesignAndValidate`]
-    /// campaign; the per-trial remainder is fault draw + simulation.
+    /// campaign; the per-trial remainder is fault draw + classification.
     /// Boxed: this variant dwarfs the tag-only ones.
     Designed(Box<DesignedStage>),
     /// The feasible-period region of Eq. 15 is empty for the overhead.
@@ -225,11 +290,11 @@ struct DesignedStage {
     problem: DesignProblem,
     solution: DesignSolution,
     slots: SlotSchedule,
-    /// WCET-scaling margin of the chosen design (when the spec's
-    /// `wcet_margin` metric is enabled): deterministic, so it is computed
-    /// once here — through the prefix's shared analysis context — and
-    /// reused by every trial of the scenario.
-    wcet_margin: Option<f64>,
+    /// The design's schedule and fault-free summary, `None` when the
+    /// simulator rejected it. The summary carries the WCET-scaling margin
+    /// (when the spec's `wcet_margin` metric is enabled), computed once
+    /// through the prefix's shared analysis context.
+    validation: Option<Validation>,
 }
 
 /// The design-cache type campaigns share across workers.
@@ -314,8 +379,43 @@ impl TrialCaches {
     }
 }
 
+/// The design-cache key of a Paper-workload scenario.
+fn design_key(scenario: &Scenario) -> DesignKey {
+    DesignKey::new(
+        scenario.workload_point,
+        scenario.algorithm,
+        scenario.overhead,
+    )
+}
+
+/// Computes the design prefixes of `scenarios` into the design cache
+/// ahead of their trials (a no-op unless the spec is a Paper workload
+/// and the cache is enabled). Campaign executors call this on the thread
+/// that owns the run, so the shared schedules are allocated there rather
+/// than in every worker's heap.
+pub(crate) fn prime_design_cache(
+    spec: &CampaignSpec,
+    scenarios: &[Scenario],
+    caches: &TrialCaches,
+) {
+    if !matches!(spec.workload, WorkloadSpec::Paper) || !caches.design.enabled() {
+        return;
+    }
+    let mut arena = SimArena::new();
+    for scenario in scenarios {
+        caches.design.get_or_compute(design_key(scenario), || {
+            paper_prefix(spec, scenario, false, &mut arena)
+        });
+    }
+}
+
 /// Computes the deterministic prefix of a Paper-workload trial.
-fn paper_prefix(spec: &CampaignSpec, scenario: &Scenario) -> PaperPrefix {
+fn paper_prefix(
+    spec: &CampaignSpec,
+    scenario: &Scenario,
+    record_trace: bool,
+    arena: &mut SimArena,
+) -> PaperPrefix {
     let (tasks, partition) = ftsched_task::examples::paper_example();
     let problem = match DesignProblem::with_total_overhead(
         tasks,
@@ -366,11 +466,24 @@ fn paper_prefix(spec: &CampaignSpec, scenario: &Scenario) -> PaperPrefix {
                         wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
                             .expect("a designed period always admits a margin search")
                     });
+                    let validation = build_schedule(spec, &problem, &slots, record_trace, arena)
+                        .ok()
+                        .map(|schedule| Validation {
+                            summary: SimSummary::fault_free(
+                                &solution,
+                                &schedule,
+                                &problem.tasks,
+                                spec.response_histogram,
+                                wcet_margin,
+                                spec.latency_curves,
+                            ),
+                            schedule,
+                        });
                     PaperStage::Designed(Box::new(DesignedStage {
                         problem,
                         solution,
                         slots,
-                        wcet_margin,
+                        validation,
                     }))
                 }
                 Err(PipelineError::Design(_)) => PaperStage::DesignRejected,
@@ -381,10 +494,21 @@ fn paper_prefix(spec: &CampaignSpec, scenario: &Scenario) -> PaperPrefix {
     PaperPrefix { baselines, stage }
 }
 
+/// How much of an accepted `DesignAndValidate` trial its caller keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Detail {
+    /// The compact [`SimSummary`] only (campaigns).
+    Summary,
+    /// The full [`PipelineOutcome`] too.
+    Outcome,
+    /// The full outcome with the simulation's execution trace.
+    Traced,
+}
+
 /// Runs one trial. See the module docs for the determinism contract.
 pub fn run_trial(spec: &CampaignSpec, scenario: &Scenario, trial: usize) -> TrialOutcome {
-    let (outcome, _) = run_trial_full(spec, scenario, trial);
-    outcome
+    let mut arena = SimArena::new();
+    run_trial_inner(spec, scenario, trial, None, &mut arena, Detail::Summary).0
 }
 
 /// Runs one trial and also returns the full [`PipelineOutcome`] for
@@ -396,7 +520,7 @@ pub fn run_trial_full(
     trial: usize,
 ) -> (TrialOutcome, Option<PipelineOutcome>) {
     let mut arena = SimArena::new();
-    run_trial_inner(spec, scenario, trial, None, &mut arena, false)
+    run_trial_inner(spec, scenario, trial, None, &mut arena, Detail::Outcome)
 }
 
 /// [`run_trial_full`] with full execution tracing: the returned
@@ -414,7 +538,7 @@ pub fn run_trial_traced(
     trial: usize,
 ) -> (TrialOutcome, Option<PipelineOutcome>) {
     let mut arena = SimArena::new();
-    run_trial_inner(spec, scenario, trial, None, &mut arena, true)
+    run_trial_inner(spec, scenario, trial, None, &mut arena, Detail::Traced)
 }
 
 /// The campaign executor's entry point: shared [`TrialCaches`] plus a
@@ -428,7 +552,7 @@ pub(crate) fn run_trial_with(
     caches: &TrialCaches,
     arena: &mut SimArena,
 ) -> TrialOutcome {
-    run_trial_inner(spec, scenario, trial, Some(caches), arena, false).0
+    run_trial_inner(spec, scenario, trial, Some(caches), arena, Detail::Summary).0
 }
 
 fn run_trial_inner(
@@ -437,7 +561,7 @@ fn run_trial_inner(
     trial: usize,
     caches: Option<&TrialCaches>,
     arena: &mut SimArena,
-    record_trace: bool,
+    detail: Detail,
 ) -> (TrialOutcome, Option<PipelineOutcome>) {
     // Seeds key on the workload coordinate so every non-workload axis is
     // paired (same task sets, same fault draws) — see
@@ -454,24 +578,21 @@ fn run_trial_inner(
         baselines,
         sim,
     };
+    let record_trace = detail == Detail::Traced;
 
     // The paper workload consumes no randomness before the fault draw, so
-    // its whole design prefix is a pure function of (spec, scenario) and
-    // goes through the design cache.
+    // its whole design prefix — the schedule included, since faults never
+    // change it — is a pure function of (spec, scenario) and goes through
+    // the design cache.
     if matches!(spec.workload, WorkloadSpec::Paper) {
         // One request per trial — a pure function of the spec, unlike the
         // hit/miss split, which depends on worker interleaving.
         ftsched_obs::record(|m| m.design_cache_requests.incr());
-        let key = DesignKey::new(
-            scenario.workload_point,
-            scenario.algorithm,
-            scenario.overhead,
-        );
         let prefix: Arc<PaperPrefix> = match caches {
-            Some(caches) => caches
-                .design
-                .get_or_compute(key, || paper_prefix(spec, scenario)),
-            None => Arc::new(paper_prefix(spec, scenario)),
+            Some(caches) => caches.design.get_or_compute(design_key(scenario), || {
+                paper_prefix(spec, scenario, record_trace, arena)
+            }),
+            None => Arc::new(paper_prefix(spec, scenario, record_trace, arena)),
         };
         let baselines = prefix.baselines;
         return match &prefix.stage {
@@ -491,44 +612,22 @@ fn run_trial_inner(
                 (finish(TrialStatus::SimulationFailed, baselines, None), None)
             }
             PaperStage::Designed(designed) => {
-                let DesignedStage {
-                    problem,
-                    solution,
-                    slots,
-                    wcet_margin,
-                } = designed.as_ref();
                 // Per-trial remainder: fault schedule over the exact
-                // simulation horizon, then the validation stage.
-                let hyperperiod = problem.tasks.hyperperiod();
-                let horizon = hyperperiod * spec.horizon_hyperperiods.max(1) as f64;
+                // simulation horizon, then its classification.
+                let horizon = validation_horizon(&designed.problem, spec.horizon_hyperperiods);
                 let faults: FaultSchedule =
                     spec.faults.schedule(&mut rng, Time::from_units(horizon));
-                let injected = faults.len() as u64;
-                let config = PipelineConfig {
-                    region: spec.region_config(problem),
-                    slack_policy: spec.slack_policy,
-                    horizon_hyperperiods: spec.horizon_hyperperiods,
-                    fault_schedule: faults,
-                    record_trace,
-                    record_response_times: spec.response_histogram.is_some()
-                        || spec.latency_curves.is_some(),
-                };
-                match validate_stage(problem, solution, slots, &config, arena) {
-                    Ok(outcome) => {
-                        let sim = SimSummary::from_report(
-                            &outcome,
-                            &problem.tasks,
-                            injected,
-                            spec.response_histogram,
-                            *wcet_margin,
-                            spec.latency_curves,
-                        );
-                        (
-                            finish(TrialStatus::Accepted, baselines, Some(sim)),
-                            Some(outcome),
-                        )
+                let _span = validation_span();
+                match &designed.validation {
+                    Some(validation) => {
+                        let full = (detail != Detail::Summary)
+                            .then_some((&designed.solution, &designed.slots));
+                        let summary = validation.summary.clone();
+                        let (sim, outcome) =
+                            classify_trial(&validation.schedule, summary, &faults, full, arena);
+                        (finish(TrialStatus::Accepted, baselines, Some(sim)), outcome)
                     }
-                    Err(_) => (finish(TrialStatus::SimulationFailed, baselines, None), None),
+                    None => (finish(TrialStatus::SimulationFailed, baselines, None), None),
                 }
             }
         };
@@ -655,61 +754,46 @@ fn run_trial_inner(
         }
         TrialKind::DesignAndValidate => {
             // 3. Fault schedule over the exact simulation horizon the
-            //    pipeline will use.
-            let hyperperiod = problem.tasks.hyperperiod();
-            let horizon = hyperperiod * spec.horizon_hyperperiods.max(1) as f64;
+            //    validation will use.
+            let horizon = validation_horizon(&problem, spec.horizon_hyperperiods);
             let faults: FaultSchedule = spec.faults.schedule(&mut rng, Time::from_units(horizon));
-            let injected = faults.len() as u64;
-            let config = PipelineConfig {
-                region,
-                slack_policy: spec.slack_policy,
-                horizon_hyperperiods: spec.horizon_hyperperiods,
-                fault_schedule: faults,
-                record_trace,
-                record_response_times: spec.response_histogram.is_some()
-                    || spec.latency_curves.is_some(),
-            };
-            let designed = design_stage_with(
-                &problem,
-                &ctx,
-                spec.goal,
-                &config.region,
-                config.slack_policy,
-            );
-            match designed.and_then(|(solution, slots)| {
-                validate_stage(&problem, &solution, &slots, &config, arena).map(|outcome| {
-                    // Only accepted trials report a margin, so the search
-                    // runs after validation succeeds. It reuses the
-                    // trial's context: the point sets were enumerated
-                    // once, each probe only rescales W(t).
-                    let wcet_margin = spec.wcet_margin.map(|m| {
-                        wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
-                            .expect("a designed period always admits a margin search")
-                    });
-                    (outcome, wcet_margin)
-                })
-            }) {
-                Ok((outcome, wcet_margin)) => {
-                    let sim = SimSummary::from_report(
-                        &outcome,
+            let (solution, slots) =
+                match design_stage_with(&problem, &ctx, spec.goal, &region, spec.slack_policy) {
+                    Ok(designed) => designed,
+                    Err(PipelineError::Design(_)) => {
+                        return (finish(TrialStatus::DesignRejected, baselines, None), None)
+                    }
+                    Err(PipelineError::Simulation(_)) => {
+                        return (finish(TrialStatus::SimulationFailed, baselines, None), None)
+                    }
+                };
+            let validated = {
+                let _span = validation_span();
+                build_schedule(spec, &problem, &slots, record_trace, arena).map(|schedule| {
+                    let summary = SimSummary::fault_free(
+                        &solution,
+                        &schedule,
                         &problem.tasks,
-                        injected,
                         spec.response_histogram,
-                        wcet_margin,
+                        None,
                         spec.latency_curves,
                     );
-                    (
-                        finish(TrialStatus::Accepted, baselines, Some(sim)),
-                        Some(outcome),
-                    )
-                }
-                Err(PipelineError::Design(_)) => {
-                    (finish(TrialStatus::DesignRejected, baselines, None), None)
-                }
-                Err(PipelineError::Simulation(_)) => {
-                    (finish(TrialStatus::SimulationFailed, baselines, None), None)
-                }
-            }
+                    let full = (detail != Detail::Summary).then_some((&solution, &slots));
+                    classify_trial(&schedule, summary, &faults, full, arena)
+                })
+            };
+            let Ok((mut sim, outcome)) = validated else {
+                return (finish(TrialStatus::SimulationFailed, baselines, None), None);
+            };
+            // Only accepted trials report a margin, so the search runs
+            // after validation succeeds. It reuses the trial's context:
+            // the point sets were enumerated once, each probe only
+            // rescales W(t).
+            sim.wcet_margin = spec.wcet_margin.map(|m| {
+                wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
+                    .expect("a designed period always admits a margin search")
+            });
+            (finish(TrialStatus::Accepted, baselines, Some(sim)), outcome)
         }
     }
 }

@@ -79,7 +79,8 @@ pub mod prelude {
         PlatformConfig,
     };
     pub use ftsched_sim::{
-        simulate, simulate_in, SimArena, SimulationConfig, SimulationReport, SlotSchedule,
+        simulate, simulate_in, FaultClassification, Schedule, ScheduleConfig, SimArena,
+        SimulationConfig, SimulationReport, SlotSchedule,
     };
     pub use ftsched_task::{
         examples::{paper_example, paper_partition, paper_taskset, PAPER_TOTAL_OVERHEAD},

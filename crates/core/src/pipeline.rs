@@ -15,9 +15,7 @@ use ftsched_design::quanta::{distribute_slack, SlackPolicy};
 use ftsched_design::region::RegionConfig;
 use ftsched_design::{DesignError, DesignGoal, DesignProblem, DesignSolution};
 use ftsched_platform::FaultSchedule;
-use ftsched_sim::{
-    simulate_in, SimArena, SimError, SimulationConfig, SimulationReport, SlotSchedule,
-};
+use ftsched_sim::{Schedule, ScheduleConfig, SimArena, SimError, SimulationReport, SlotSchedule};
 use ftsched_task::PerMode;
 
 /// Configuration of the design-and-validate pipeline.
@@ -159,6 +157,21 @@ pub fn design_stage_with(
     Ok((solution, slots))
 }
 
+/// The simulated horizon of validation: `hyperperiods` (at least one)
+/// hyperperiods of the problem's task set.
+pub fn validation_horizon(problem: &DesignProblem, hyperperiods: u32) -> f64 {
+    problem.tasks.hyperperiod() * hyperperiods.max(1) as f64
+}
+
+/// Counts one validation run and times it under the `Validate` stage
+/// until the returned span drops. Every accepted validate trial opens
+/// exactly one, whether it simulates a schedule of its own or classifies
+/// a shared one, so the count is a pure function of the spec.
+pub fn validation_span() -> ftsched_obs::Span {
+    ftsched_obs::record(|m| m.validate_runs.incr());
+    ftsched_obs::time(ftsched_obs::Stage::Validate)
+}
+
 /// The validation stage: simulate an already-designed slot schedule over
 /// the configured horizon with the configured fault schedule, reusing the
 /// caller's [`SimArena`].
@@ -173,30 +186,23 @@ pub fn validate_stage(
     config: &PipelineConfig,
     arena: &mut SimArena,
 ) -> Result<PipelineOutcome, PipelineError> {
-    // Validation is never cached: exactly one run per accepted trial, so
-    // the counter is deterministic; the span is the timing half.
-    ftsched_obs::record(|m| m.validate_runs.incr());
-    let _span = ftsched_obs::time(ftsched_obs::Stage::Validate);
-    let hyperperiod = problem.tasks.hyperperiod();
-    let horizon = hyperperiod * config.horizon_hyperperiods.max(1) as f64;
-    let simulation = simulate_in(
+    let _span = validation_span();
+    let schedule = Schedule::build(
         &problem.tasks,
         &problem.partition,
         problem.algorithm,
         slots,
-        &SimulationConfig {
-            horizon,
-            fault_schedule: config.fault_schedule.clone(),
+        &ScheduleConfig {
+            horizon: validation_horizon(problem, config.horizon_hyperperiods),
             record_trace: config.record_trace,
             record_response_times: config.record_response_times,
         },
         arena,
     )?;
-
     Ok(PipelineOutcome {
         solution: solution.clone(),
         slots: slots.clone(),
-        simulation,
+        simulation: schedule.report(&config.fault_schedule, arena),
     })
 }
 

@@ -773,7 +773,11 @@ counters! {
         /// Validation-stage executions (one per accepted validate trial;
         /// never cached).
         validate_runs,
-        /// Simulation runs completed.
+        /// Simulation runs completed: one per classified fault draw.
+        /// This and every other `sim_*` count describe each validated
+        /// trial's simulated schedule, whether it was built for that
+        /// trial or shared by all trials of one design (faults never
+        /// change a schedule, so a shared one is classified per draw).
         sim_runs,
         /// Useful windows the event engine actually walked (idle-jumped
         /// windows are skipped, not counted).
@@ -819,9 +823,10 @@ counters! {
         sweep_rescales_quantised: Counter,
         /// Rescales served by the sequential f64 fallback fold.
         sweep_rescales_scalar: Counter,
-        /// Simulation runs that had to grow a fresh arena.
+        /// Schedule builds that had to grow a fresh arena. Paper
+        /// campaigns build one schedule per design, not per trial.
         arena_fresh: Counter,
-        /// Simulation runs that reused a warm arena's buffers.
+        /// Schedule builds that reused a warm arena's buffers.
         arena_reused: Counter,
     }
     service {

@@ -1,5 +1,24 @@
 //! The event-driven simulation engine.
 //!
+//! A run has two halves, split on one invariant of the fault model:
+//! **faults never change the schedule**. A transient fault only changes
+//! the outcome class of the jobs it overlaps (masked, silenced or wrong
+//! result, see [`classify_outcome`]); it never delays, aborts or
+//! re-dispatches anything. So:
+//!
+//! * [`Schedule::build`] simulates the fault-independent schedule once:
+//!   per-channel execution slices, the job behind each slice, and every
+//!   fault-free aggregate (releases, completions, deadline misses,
+//!   response times, executed time);
+//! * [`Schedule::classify`] applies one [`FaultSchedule`] to a built
+//!   schedule and returns the per-mode outcome counts, and
+//!   [`Schedule::report`] assembles the full [`SimulationReport`] from
+//!   the two halves.
+//!
+//! [`simulate_in`] is build + report. Campaigns that validate one design
+//! under many fault draws build its schedule once and classify it per
+//! draw.
+//!
 //! Because the partitioned scheme makes channels independent (a channel
 //! only ever executes its own task subset, and only during its mode's
 //! useful windows), the engine simulates one channel at a time. Time
@@ -17,7 +36,7 @@
 //!   per-job cloning or hashing on the hot path.
 //!
 //! Fault classification is a single slice-major pass per channel: slices
-//! are produced in time order and the schedule's fault windows are sorted
+//! are stored in time order and the schedule's fault windows are sorted
 //! and disjoint, so one monotone cursor finds each slice's candidate
 //! fault in O(slices + faults). Tick granularity is materialised only
 //! inside fault windows (the overlap spans the classifier examines);
@@ -28,13 +47,14 @@
 //! the proptest battery and the `ftsched bench --sim` bitwise gate check
 //! this engine against.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use ftsched_analysis::Algorithm;
+use ftsched_platform::cpu::CoreId;
 use ftsched_platform::{classify_outcome, ChannelLayout, FaultSchedule};
-use ftsched_task::{Duration, Mode, PerMode, SystemPartition, Task, TaskSet, Time};
+use ftsched_task::{Duration, Mode, PerMode, SystemPartition, Task, TaskId, TaskSet, Time};
 
 use crate::error::SimError;
 use crate::job::{release_jobs_into, Job, JobId};
@@ -72,10 +92,23 @@ impl SimulationConfig {
     }
 }
 
-/// Reusable scratch storage for [`simulate_in`]: the job list, execution
-/// slices, job records and the per-job dispatch state of one simulation
-/// run (plus the window/queue/completion buffers of the slot-stepping
-/// [`crate::reference`] engine, which shares the arena).
+/// What a [`Schedule`] is built over: a [`SimulationConfig`] without its
+/// faults.
+#[derive(Debug, Clone, Copy)]
+pub struct ScheduleConfig {
+    /// Length of the simulated interval, in paper time units.
+    pub horizon: f64,
+    /// Keep the per-job records and slice identities a trace needs.
+    pub record_trace: bool,
+    /// Record every completed job's response time, grouped per task.
+    pub record_response_times: bool,
+}
+
+/// Reusable scratch storage for [`Schedule::build`] and
+/// [`Schedule::classify`]: the per-job dispatch state of one build, the
+/// per-job fault marks of one classification (plus the window/queue/
+/// completion buffers of the slot-stepping [`crate::reference`] engine,
+/// which shares the arena).
 ///
 /// A fresh arena is allocated by the convenience [`simulate`]; campaign
 /// kernels that run thousands of trials keep one arena per worker and
@@ -97,12 +130,11 @@ pub struct SimArena {
     remaining: Vec<Duration>,
     /// Completion instant per job, parallel to `jobs`.
     completed_at: Vec<Option<Time>>,
-    /// Job index behind each entry of `slices` (the trace slice itself
-    /// carries only the `JobId`), so the fault classifier can mark jobs
-    /// in O(1).
-    slice_jobs: Vec<u32>,
-    /// Fault-overlap flag per job, parallel to `jobs`.
+    /// Fault-overlap flag per job of the classified schedule.
     fault_marks: Vec<bool>,
+    /// Arrival tick of every fault that marked a job (duplicates
+    /// included; sorted and deduplicated to count effective faults).
+    fault_instants: Vec<u64>,
 }
 
 impl Default for SimArena {
@@ -118,8 +150,8 @@ impl Default for SimArena {
             ready: Vec::new(),
             remaining: Vec::new(),
             completed_at: Vec::new(),
-            slice_jobs: Vec::new(),
             fault_marks: Vec::new(),
+            fault_instants: Vec::new(),
         }
     }
 }
@@ -131,8 +163,78 @@ impl SimArena {
     }
 }
 
-/// Per-channel tallies of the event engine, batched into `ftsched_obs`
-/// once per run. All three are pure functions of the simulation inputs.
+/// One channel's share of a [`Schedule`]: its slices and jobs are the
+/// ranges between the previous channel's ends and its own.
+#[derive(Debug)]
+struct ChannelSpan {
+    mode: Mode,
+    channel: usize,
+    /// Bit `c` is set when core `c` belongs to this channel.
+    cores: u64,
+    /// End (exclusive) of the channel's slices in [`Schedule::spans`].
+    slices_end: usize,
+    /// End (exclusive) of the channel's jobs in the schedule's job
+    /// numbering.
+    jobs_end: usize,
+}
+
+impl ChannelSpan {
+    /// Whether a fault on `core` strikes this channel.
+    fn hosts(&self, core: CoreId) -> bool {
+        self.cores & core_bit(core) != 0
+    }
+}
+
+/// The bit of `core` in a [`ChannelSpan::cores`] mask (none for a core
+/// beyond the mask, which no channel layout contains).
+fn core_bit(core: CoreId) -> u64 {
+    u32::try_from(core.0)
+        .ok()
+        .and_then(|c| 1u64.checked_shl(c))
+        .unwrap_or(0)
+}
+
+/// The fault-independent schedule of one design over one horizon: what
+/// ran where and when, plus every aggregate faults cannot change.
+///
+/// Built once by [`Schedule::build`]; [`Schedule::classify`] and
+/// [`Schedule::report`] apply any number of fault schedules to it.
+#[derive(Debug)]
+pub struct Schedule {
+    horizon: f64,
+    /// Channels in mode order, then channel order.
+    channels: Vec<ChannelSpan>,
+    /// Execution slices `(start, end)`, chronological within a channel.
+    spans: Vec<(Time, Time)>,
+    /// Job (in the schedule's numbering) behind each entry of `spans`.
+    slice_jobs: Vec<u32>,
+    /// Per-job records with the outcome left unclassified, kept only
+    /// when the schedule was built for a trace.
+    records: Option<Vec<JobRecord>>,
+    released_jobs: u64,
+    completed_jobs: u64,
+    deadline_misses: u64,
+    worst_response_times: HashMap<TaskId, f64>,
+    response_times: Option<BTreeMap<TaskId, Vec<f64>>>,
+    executed_time: PerMode<f64>,
+    /// Event-engine tallies of the build (see [`ChannelStats`]).
+    stats: ChannelStats,
+}
+
+/// Per-mode outcome counts of one fault schedule applied to a
+/// [`Schedule`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultClassification {
+    /// Per-mode job outcome counters.
+    pub outcomes: PerMode<OutcomeCounts>,
+    /// Number of faults that overlapped at least one job of the channel
+    /// they struck.
+    pub effective_faults: u64,
+}
+
+/// Tallies of the event engine, batched into `ftsched_obs` once per
+/// classification. All three are pure functions of the simulation
+/// inputs.
 #[derive(Debug, Default, Clone, Copy)]
 struct ChannelStats {
     /// Useful windows actually visited (idle-jumped windows don't count).
@@ -142,6 +244,14 @@ struct ChannelStats {
     events: u64,
     /// Idle spans skipped by jumping ≥ 2 windows ahead at once.
     idle_jumps: u64,
+}
+
+impl ChannelStats {
+    fn add(&mut self, other: ChannelStats) {
+        self.windows_walked += other.windows_walked;
+        self.events += other.events;
+        self.idle_jumps += other.idle_jumps;
+    }
 }
 
 /// Simulates the partitioned, slot-gated system.
@@ -175,6 +285,8 @@ pub fn simulate(
 /// saving for short campaign trials. The report is bit-identical to
 /// [`simulate`]'s.
 ///
+/// This is [`Schedule::build`] followed by [`Schedule::report`].
+///
 /// # Errors
 ///
 /// Returns a [`SimError`] for a non-positive horizon or an invalid
@@ -187,169 +299,317 @@ pub fn simulate_in(
     config: &SimulationConfig,
     arena: &mut SimArena,
 ) -> Result<SimulationReport, SimError> {
-    if !(config.horizon > 0.0 && config.horizon.is_finite()) {
-        return Err(SimError::InvalidHorizon);
+    let schedule = Schedule::build(
+        tasks,
+        partition,
+        algorithm,
+        slots,
+        &ScheduleConfig {
+            horizon: config.horizon,
+            record_trace: config.record_trace,
+            record_response_times: config.record_response_times,
+        },
+        arena,
+    )?;
+    Ok(schedule.report(&config.fault_schedule, arena))
+}
+
+impl Schedule {
+    /// Simulates every channel of the system over `config.horizon`,
+    /// without faults (they cannot change the schedule), and aggregates
+    /// everything that does not depend on them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] for a non-positive horizon or an invalid
+    /// partition.
+    pub fn build(
+        tasks: &TaskSet,
+        partition: &SystemPartition,
+        algorithm: Algorithm,
+        slots: &SlotSchedule,
+        config: &ScheduleConfig,
+        arena: &mut SimArena,
+    ) -> Result<Schedule, SimError> {
+        if !(config.horizon > 0.0 && config.horizon.is_finite()) {
+            return Err(SimError::InvalidHorizon);
+        }
+        partition.validate(tasks)?;
+        // Arena warmth before any buffer is touched: a reused arena keeps
+        // its capacities from the previous build, a fresh one has none.
+        // Scheduling-dependent, so it lives in the timing half.
+        let arena_warm = arena.jobs.capacity() > 0;
+        ftsched_obs::record(|m| {
+            if arena_warm {
+                m.arena_reused.incr();
+            } else {
+                m.arena_fresh.incr();
+            }
+        });
+        let horizon = Duration::from_units(config.horizon);
+        let horizon_time = Time::ZERO + horizon;
+
+        let mut schedule = Schedule {
+            horizon: config.horizon,
+            channels: Vec::new(),
+            spans: Vec::new(),
+            slice_jobs: Vec::new(),
+            records: config.record_trace.then(Vec::new),
+            released_jobs: 0,
+            completed_jobs: 0,
+            deadline_misses: 0,
+            worst_response_times: HashMap::new(),
+            // BTreeMap: per-task response-time lists iterate in task-id
+            // order, so everything derived from them downstream is
+            // deterministic.
+            response_times: config.record_response_times.then(Default::default),
+            executed_time: PerMode::splat(0.0),
+            stats: ChannelStats::default(),
+        };
+
+        for mode in Mode::ALL {
+            let channel_sets = partition.mode(mode).channel_task_sets(tasks)?;
+            let layout = ChannelLayout::canonical(mode);
+            for (channel, channel_set) in channel_sets.iter().enumerate() {
+                let slices_start = schedule.spans.len();
+                let job_base = u32::try_from(schedule.released_jobs)
+                    .expect("a schedule indexes its jobs with u32");
+                let stats = simulate_channel(
+                    channel_set,
+                    mode,
+                    algorithm,
+                    slots,
+                    horizon,
+                    job_base,
+                    arena,
+                    &mut schedule.spans,
+                    &mut schedule.slice_jobs,
+                );
+                schedule.stats.add(stats);
+
+                for (job, &completion) in arena.jobs.iter().zip(&arena.completed_at) {
+                    if let Some(completion) = completion {
+                        schedule.completed_jobs += 1;
+                        let rt = completion.saturating_since(job.release).as_units();
+                        let entry = schedule
+                            .worst_response_times
+                            .entry(job.id.task)
+                            .or_insert(0.0);
+                        if rt > *entry {
+                            *entry = rt;
+                        }
+                        if let Some(map) = schedule.response_times.as_mut() {
+                            map.entry(job.id.task).or_default().push(rt);
+                        }
+                    }
+                    let missed = match completion {
+                        Some(completion) => completion > job.deadline,
+                        None => job.deadline < horizon_time,
+                    };
+                    if missed {
+                        schedule.deadline_misses += 1;
+                    }
+                    if let Some(records) = schedule.records.as_mut() {
+                        records.push(JobRecord {
+                            job: job.id,
+                            mode,
+                            channel,
+                            release: job.release,
+                            deadline: job.deadline,
+                            completion,
+                            deadline_met: !missed,
+                            // Classified per fault schedule by `report`.
+                            outcome: ftsched_platform::JobOutcome::CorrectNoFault,
+                        });
+                    }
+                }
+                schedule.released_jobs += arena.jobs.len() as u64;
+                schedule.executed_time[mode] += schedule.spans[slices_start..]
+                    .iter()
+                    .map(|&(start, end)| (end - start).as_units())
+                    .sum::<f64>();
+                schedule.channels.push(ChannelSpan {
+                    mode,
+                    channel,
+                    cores: layout
+                        .cores_of(channel)
+                        .iter()
+                        .fold(0, |mask, &core| mask | core_bit(core)),
+                    slices_end: schedule.spans.len(),
+                    jobs_end: schedule.released_jobs as usize,
+                });
+            }
+        }
+        Ok(schedule)
     }
-    partition.validate(tasks)?;
-    // Arena warmth before any buffer is touched: a reused arena keeps its
-    // capacities from the previous run, a fresh one has none.
-    let arena_warm = arena.jobs.capacity() + arena.windows.capacity() + arena.slices.capacity() > 0;
-    let mut windows_walked = 0u64;
-    let mut slices_scheduled = 0u64;
-    let mut events_processed = 0u64;
-    let mut idle_jumps = 0u64;
-    let mut fault_ticks = 0u64;
-    let horizon = Duration::from_units(config.horizon);
-    let horizon_time = Time::ZERO + horizon;
 
-    let mut trace = Trace::default();
-    let mut outcomes: PerMode<OutcomeCounts> = PerMode::splat(OutcomeCounts::default());
-    let mut worst_response: HashMap<ftsched_task::TaskId, f64> = HashMap::new();
-    // BTreeMap: per-task response-time lists iterate in task-id order, so
-    // everything derived from them downstream is deterministic.
-    let mut response_times: Option<std::collections::BTreeMap<ftsched_task::TaskId, Vec<f64>>> =
-        config.record_response_times.then(Default::default);
-    let mut executed_time = PerMode::splat(0.0);
-    let mut released_jobs = 0u64;
-    let mut completed_jobs = 0u64;
-    let mut deadline_misses = 0u64;
-    let mut effective_faults: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    /// Number of jobs released inside the horizon.
+    pub fn released_jobs(&self) -> u64 {
+        self.released_jobs
+    }
 
-    for mode in Mode::ALL {
-        let channel_sets = partition.mode(mode).channel_task_sets(tasks)?;
-        let layout = ChannelLayout::canonical(mode);
-        for (channel, channel_set) in channel_sets.iter().enumerate() {
-            let stats =
-                simulate_channel(channel_set, mode, channel, algorithm, slots, horizon, arena);
-            windows_walked += stats.windows_walked;
-            events_processed += stats.events;
-            idle_jumps += stats.idle_jumps;
-            slices_scheduled += arena.slices.len() as u64;
-            released_jobs += arena.records.len() as u64;
+    /// Number of jobs that completed inside the horizon.
+    pub fn completed_jobs(&self) -> u64 {
+        self.completed_jobs
+    }
 
-            // Slice-major fault classification. The record-major form —
-            // "for each job, scan its slices in time order; at each slice
-            // take the schedule's first overlapping fault; mark the job
-            // and stop at the first right-channel hit" — is reproduced
-            // exactly by one pass over all slices (each job's slices
-            // appear in the same relative order) with a monotone cursor
-            // over the sorted, disjoint fault windows. Jobs already
-            // marked skip further checks, matching the record-major
-            // break; a wrong-channel overlap leaves the job unmarked so
-            // its later slices are still examined, as before.
-            let faults = config.fault_schedule.faults();
-            arena.fault_marks.clear();
-            arena.fault_marks.resize(arena.records.len(), false);
-            if !faults.is_empty() {
+    /// Number of jobs that missed their deadline.
+    pub fn deadline_misses(&self) -> u64 {
+        self.deadline_misses
+    }
+
+    /// Worst observed response time per task (completed jobs only).
+    pub fn worst_response_times(&self) -> &HashMap<TaskId, f64> {
+        &self.worst_response_times
+    }
+
+    /// Every completed job's response time, grouped per task in task-id
+    /// order, when the schedule was built with
+    /// [`ScheduleConfig::record_response_times`].
+    pub fn response_times(&self) -> Option<&BTreeMap<TaskId, Vec<f64>>> {
+        self.response_times.as_ref()
+    }
+
+    /// Applies one fault schedule: marks every job a fault strikes on its
+    /// own channel and counts the outcomes per mode. Records the run's
+    /// `sim_*` counters, so a schedule classified `n` times counts as `n`
+    /// simulation runs.
+    ///
+    /// The record-major form — "for each job, scan its slices in time
+    /// order; at each slice take the schedule's first overlapping fault;
+    /// mark the job and stop at the first right-channel hit" — is
+    /// reproduced exactly by one pass over each channel's slices (each
+    /// job's slices appear in the same relative order) with a monotone
+    /// cursor over the sorted, disjoint fault windows. Jobs already
+    /// marked skip further checks, matching the record-major break; a
+    /// wrong-channel overlap leaves the job unmarked so its later slices
+    /// are still examined.
+    pub fn classify(&self, faults: &FaultSchedule, arena: &mut SimArena) -> FaultClassification {
+        let marks = &mut arena.fault_marks;
+        let instants = &mut arena.fault_instants;
+        marks.clear();
+        marks.resize(self.released_jobs as usize, false);
+        instants.clear();
+        let faults_list = faults.faults();
+        let mut outcomes = PerMode::splat(OutcomeCounts::default());
+        let mut fault_ticks = 0u64;
+        let (mut slices_start, mut jobs_start) = (0, 0);
+        for channel in &self.channels {
+            let range = slices_start..channel.slices_end;
+            let mut struck = 0u64;
+            if !faults_list.is_empty() {
                 let mut cursor = 0usize;
-                for (slice, &ji) in arena.slices.iter().zip(&arena.slice_jobs) {
-                    while cursor < faults.len() && faults[cursor].end() <= slice.start {
+                for (&(start, end), &ji) in self.spans[range.clone()]
+                    .iter()
+                    .zip(&self.slice_jobs[range])
+                {
+                    while cursor < faults_list.len() && faults_list[cursor].end() <= start {
                         cursor += 1;
                     }
-                    let Some(fault) = faults.get(cursor) else {
+                    let Some(fault) = faults_list.get(cursor) else {
                         break;
                     };
-                    if arena.fault_marks[ji as usize] {
+                    if marks[ji as usize] {
                         continue;
                     }
-                    if fault.overlaps(slice.start, slice.end) {
+                    if fault.overlaps(start, end) {
                         // Tick granularity exists only here: the overlap
                         // span the classifier examines inside the fault
                         // window.
-                        fault_ticks +=
-                            fault.end().min(slice.end).ticks() - fault.at.max(slice.start).ticks();
-                        if layout.channel_of_core(fault.core) == Some(channel) {
-                            arena.fault_marks[ji as usize] = true;
-                            effective_faults.insert(fault.at.ticks());
+                        fault_ticks += fault.end().min(end).ticks() - fault.at.max(start).ticks();
+                        if channel.hosts(fault.core) {
+                            marks[ji as usize] = true;
+                            struck += 1;
+                            instants.push(fault.at.ticks());
                         }
                     }
                 }
             }
+            let jobs = (channel.jobs_end - jobs_start) as u64;
+            let counts = &mut outcomes[channel.mode];
+            counts.add(classify_outcome(channel.mode, false), jobs - struck);
+            counts.add(classify_outcome(channel.mode, true), struck);
+            slices_start = channel.slices_end;
+            jobs_start = channel.jobs_end;
+        }
+        instants.sort_unstable();
+        instants.dedup();
 
-            for (record, &overlapped) in arena.records.iter().zip(&arena.fault_marks) {
-                let outcome = classify_outcome(mode, overlapped);
-                outcomes[mode].record(outcome);
-
-                let mut record = *record;
-                record.outcome = outcome;
-                if let Some(completion) = record.completion {
-                    completed_jobs += 1;
-                    let rt = completion.saturating_since(record.release).as_units();
-                    let entry = worst_response.entry(record.job.task).or_insert(0.0);
-                    if rt > *entry {
-                        *entry = rt;
-                    }
-                    if let Some(map) = response_times.as_mut() {
-                        map.entry(record.job.task).or_default().push(rt);
-                    }
-                }
-                let missed = match record.completion {
-                    Some(completion) => completion > record.deadline,
-                    None => record.deadline < horizon_time,
-                };
-                record.deadline_met = !missed;
-                if missed {
-                    deadline_misses += 1;
-                }
-                if config.record_trace {
-                    trace.jobs.push(record);
-                }
-            }
-            executed_time[mode] += arena
-                .slices
-                .iter()
-                .map(|s| s.length().as_units())
-                .sum::<f64>();
-            if config.record_trace {
-                trace.slices.extend_from_slice(&arena.slices);
-            }
+        // One batched update per run: every count is a pure function of
+        // the schedule and the faults.
+        ftsched_obs::record(|m| {
+            m.sim_runs.incr();
+            m.sim_windows.add(self.stats.windows_walked);
+            m.sim_slices.add(self.spans.len() as u64);
+            m.sim_jobs_released.add(self.released_jobs);
+            m.sim_jobs_completed.add(self.completed_jobs);
+            m.sim_faults_injected.add(faults.len() as u64);
+            m.sim_events.add(self.stats.events);
+            m.sim_idle_spans_jumped.add(self.stats.idle_jumps);
+            m.sim_ticks_materialised.add(fault_ticks);
+        });
+        FaultClassification {
+            outcomes,
+            effective_faults: instants.len() as u64,
         }
     }
 
-    // One batched update per run: the deterministic counts are pure
-    // functions of the inputs (arena warmth provably does not affect
-    // them — see `arena_reuse_is_bit_identical_to_fresh_allocation`),
-    // while the arena tallies are scheduling-dependent and live in the
-    // timing half.
-    ftsched_obs::record(|m| {
-        m.sim_runs.incr();
-        m.sim_windows.add(windows_walked);
-        m.sim_slices.add(slices_scheduled);
-        m.sim_jobs_released.add(released_jobs);
-        m.sim_jobs_completed.add(completed_jobs);
-        m.sim_faults_injected
-            .add(config.fault_schedule.len() as u64);
-        m.sim_events.add(events_processed);
-        m.sim_idle_spans_jumped.add(idle_jumps);
-        m.sim_ticks_materialised.add(fault_ticks);
-        if arena_warm {
-            m.arena_reused.incr();
-        } else {
-            m.arena_fresh.incr();
+    /// The full report of this schedule under one fault schedule: the
+    /// fault-free aggregates plus [`Self::classify`]'s outcomes, and the
+    /// trace when the schedule was built for one.
+    pub fn report(&self, faults: &FaultSchedule, arena: &mut SimArena) -> SimulationReport {
+        let FaultClassification {
+            outcomes,
+            effective_faults,
+        } = self.classify(faults, arena);
+        let trace = self.records.as_ref().map(|records| {
+            let mut slices = Vec::with_capacity(self.spans.len());
+            let mut slices_start = 0;
+            for channel in &self.channels {
+                let range = slices_start..channel.slices_end;
+                slices.extend(
+                    self.spans[range.clone()]
+                        .iter()
+                        .zip(&self.slice_jobs[range])
+                        .map(|(&(start, end), &ji)| ExecutionSlice {
+                            job: records[ji as usize].job,
+                            mode: channel.mode,
+                            channel: channel.channel,
+                            start,
+                            end,
+                        }),
+                );
+                slices_start = channel.slices_end;
+            }
+            let jobs = records
+                .iter()
+                .zip(&arena.fault_marks)
+                .map(|(record, &struck)| JobRecord {
+                    outcome: classify_outcome(record.mode, struck),
+                    ..*record
+                })
+                .collect();
+            Trace { slices, jobs }
+        });
+        SimulationReport {
+            horizon: self.horizon,
+            released_jobs: self.released_jobs,
+            completed_jobs: self.completed_jobs,
+            deadline_misses: self.deadline_misses,
+            outcomes,
+            worst_response_times: self.worst_response_times.clone(),
+            response_times: self.response_times.clone(),
+            executed_time: self.executed_time,
+            effective_faults,
+            trace,
         }
-    });
-
-    Ok(SimulationReport {
-        horizon: config.horizon,
-        released_jobs,
-        completed_jobs,
-        deadline_misses,
-        outcomes,
-        worst_response_times: worst_response,
-        response_times,
-        executed_time,
-        effective_faults: effective_faults.len() as u64,
-        trace: if config.record_trace {
-            Some(trace)
-        } else {
-            None
-        },
-    })
+    }
 }
 
-/// Simulates one channel of one mode over the horizon, leaving the
-/// execution slices and job records in `arena.slices` / `arena.records`
-/// (with `arena.slice_jobs` carrying the job index behind each slice).
+/// Simulates one channel of one mode over the horizon, appending its
+/// execution slices to `spans` and the job behind each (`job_base` plus
+/// the index into `arena.jobs`) to `slice_jobs`. Leaves the released
+/// jobs in `arena.jobs` and their completions in `arena.completed_at`.
 ///
 /// Useful windows are derived on the fly from the cycle index: window `k`
 /// of a mode is `[kP + offset, kP + offset + Q̃)` clamped to the horizon,
@@ -363,11 +623,13 @@ pub fn simulate_in(
 fn simulate_channel(
     channel_tasks: &TaskSet,
     mode: Mode,
-    channel: usize,
     algorithm: Algorithm,
     slots: &SlotSchedule,
     horizon: Duration,
+    job_base: u32,
     arena: &mut SimArena,
+    spans: &mut Vec<(Time, Time)>,
+    slice_jobs: &mut Vec<u32>,
 ) -> ChannelStats {
     // Order tasks by the dispatching policy's priority (only meaningful for
     // FP; EDF ignores the index).
@@ -377,18 +639,12 @@ fn simulate_channel(
     };
     let SimArena {
         jobs,
-        slices,
-        records,
         ready,
         remaining,
         completed_at,
-        slice_jobs,
         ..
     } = arena;
     release_jobs_into(&ordered, horizon, jobs);
-    slices.clear();
-    records.clear();
-    slice_jobs.clear();
     ready.clear();
     remaining.clear();
     remaining.extend(jobs.iter().map(|j| j.wcet));
@@ -435,8 +691,7 @@ fn simulate_channel(
     if q == 0 || p == 0 {
         // No useful windows (a zero quantum, or a period that rounds to
         // zero ticks and therefore admits no positive quantum): nothing
-        // runs, every record stays incomplete.
-        push_records(all_jobs, completed_at, mode, channel, records);
+        // runs, every job stays incomplete.
         return stats;
     }
 
@@ -492,7 +747,6 @@ fn simulate_channel(
                 }
             };
             let ji = ji as usize;
-            let job = &all_jobs[ji];
             // Run until the job completes, the window closes, or a new
             // release may pre-empt it.
             let mut run_until = (now + remaining[ji]).min(window_end);
@@ -502,14 +756,8 @@ fn simulate_channel(
                 }
             }
             remaining[ji] -= run_until - now;
-            slices.push(ExecutionSlice {
-                job: job.id,
-                mode,
-                channel,
-                start: now,
-                end: run_until,
-            });
-            slice_jobs.push(ji as u32);
+            spans.push((now, run_until));
+            slice_jobs.push(job_base + ji as u32);
             now = run_until;
             stats.events += 1;
             if remaining[ji].is_zero() {
@@ -521,33 +769,7 @@ fn simulate_channel(
         }
         k += 1;
     }
-
-    push_records(all_jobs, completed_at, mode, channel, records);
     stats
-}
-
-/// Emits one [`JobRecord`] per released job, completion taken from the
-/// parallel `completed_at` vector; outcome and deadline fields are
-/// finalised by [`simulate_in`].
-fn push_records(
-    all_jobs: &[Job],
-    completed_at: &[Option<Time>],
-    mode: Mode,
-    channel: usize,
-    records: &mut Vec<JobRecord>,
-) {
-    for (job, &completion) in all_jobs.iter().zip(completed_at) {
-        records.push(JobRecord {
-            job: job.id,
-            mode,
-            channel,
-            release: job.release,
-            deadline: job.deadline,
-            completion,
-            deadline_met: true, // finalised by the caller
-            outcome: ftsched_platform::JobOutcome::CorrectNoFault, // finalised by the caller
-        });
-    }
 }
 
 #[cfg(test)]
@@ -902,6 +1124,62 @@ mod tests {
         // τ9 (C=1, T=4, FS) releases 30 jobs in 120 units; it must appear.
         assert!(report.worst_response_time(TaskId(9)).is_some());
         assert!(report.worst_response_time(TaskId(9)).unwrap().as_units() <= 4.0 + 1e-9);
+    }
+
+    #[test]
+    fn one_schedule_serves_every_fault_draw() {
+        // Faults never change the schedule: building it once and
+        // classifying each draw must reproduce a fresh simulation of
+        // that draw, and the build counts once while every
+        // classification counts as a run.
+        let (tasks, partition) = paper_example();
+        let slots = table2b_slots();
+        let draws = [
+            FaultSchedule::none(),
+            FaultSchedule::new(vec![fault_at(0.1, 0.3, 2), fault_at(1.0, 0.4, 1)]).unwrap(),
+            FaultSchedule::new(vec![fault_at(2.3, 0.4, 0), fault_at(5.9, 0.4, 3)]).unwrap(),
+        ];
+        let build = ScheduleConfig {
+            horizon: 120.0,
+            record_trace: true,
+            record_response_times: true,
+        };
+        let recorder = ftsched_obs::Recorder::new();
+        let _current = recorder.enter();
+        let mut arena = SimArena::new();
+        let schedule = Schedule::build(
+            &tasks,
+            &partition,
+            Algorithm::EarliestDeadlineFirst,
+            &slots,
+            &build,
+            &mut arena,
+        )
+        .unwrap();
+        for faults in &draws {
+            let fresh = simulate(
+                &tasks,
+                &partition,
+                Algorithm::EarliestDeadlineFirst,
+                &slots,
+                &SimulationConfig {
+                    horizon: 120.0,
+                    fault_schedule: faults.clone(),
+                    record_trace: true,
+                    record_response_times: true,
+                },
+            )
+            .unwrap();
+            assert_eq!(schedule.report(faults, &mut arena), fresh);
+            let classified = schedule.classify(faults, &mut arena);
+            assert_eq!(classified.outcomes, fresh.outcomes);
+            assert_eq!(classified.effective_faults, fresh.effective_faults);
+        }
+        let m = recorder.snapshot();
+        // One shared build plus one per fresh `simulate`; two runs per
+        // draw on the shared schedule plus one per fresh simulation.
+        assert_eq!(m.timing.arena_fresh + m.timing.arena_reused, 4);
+        assert_eq!(m.counters.sim_runs, 9);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   useful or overhead) owns any instant of simulated time.
 //! * [`job`] — job instances with release, deadline and remaining work.
 //! * [`queue`] — RM/DM/EDF ready queues.
-//! * [`engine`] — the per-channel event-driven simulation engine.
+//! * [`engine`] — the per-channel event-driven simulation engine: a
+//!   fault-independent [`engine::Schedule`] built once per design, then
+//!   classified per fault schedule.
 //! * [`trace`] — execution slices and per-job records.
 //! * [`report`] — aggregated metrics ([`report::SimulationReport`]).
 
@@ -40,7 +42,10 @@ pub mod slot;
 pub mod stats;
 pub mod trace;
 
-pub use engine::{simulate, simulate_in, SimArena, SimulationConfig};
+pub use engine::{
+    simulate, simulate_in, FaultClassification, Schedule, ScheduleConfig, SimArena,
+    SimulationConfig,
+};
 pub use error::SimError;
 pub use report::SimulationReport;
 pub use slot::{SlotPhase, SlotSchedule};

@@ -26,11 +26,16 @@ pub struct OutcomeCounts {
 impl OutcomeCounts {
     /// Adds one outcome to the counters.
     pub fn record(&mut self, outcome: JobOutcome) {
+        self.add(outcome, 1);
+    }
+
+    /// Adds `n` jobs of one outcome to the counters.
+    pub fn add(&mut self, outcome: JobOutcome, n: u64) {
         match outcome {
-            JobOutcome::CorrectNoFault => self.correct_no_fault += 1,
-            JobOutcome::CorrectMasked => self.correct_masked += 1,
-            JobOutcome::SilencedLost => self.silenced_lost += 1,
-            JobOutcome::WrongResult => self.wrong_result += 1,
+            JobOutcome::CorrectNoFault => self.correct_no_fault += n,
+            JobOutcome::CorrectMasked => self.correct_masked += n,
+            JobOutcome::SilencedLost => self.silenced_lost += n,
+            JobOutcome::WrongResult => self.wrong_result += n,
         }
     }
 

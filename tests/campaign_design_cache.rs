@@ -4,6 +4,7 @@
 //! stage on every trial), at any thread/block configuration.
 
 use ftsched_campaign::prelude::*;
+use ftsched_task::Mode;
 
 /// A paper-workload validation campaign: every trial designs the same
 /// Table 1 problem and differs only in its Poisson fault draw — the
@@ -97,4 +98,78 @@ fn cached_trials_reproduce_table_2b_per_trial() {
         (mean_period - 2.966).abs() < 0.01,
         "mean accepted period {mean_period:.4} should be the Table 2(b) design"
     );
+}
+
+/// A paper campaign where the shared schedule does all the work: dense
+/// faults over several hyperperiods, with per-task response histograms
+/// and latency curves, so every part of the per-trial summary is either
+/// taken from the cached schedule or classified per fault draw.
+fn dense_fault_paper_campaign() -> CampaignSpec {
+    CampaignSpec {
+        master_seed: 4242,
+        trials_per_scenario: 9,
+        overheads: vec![0.01, 0.05],
+        faults: FaultModel::Poisson {
+            mean_interarrival: 1.5,
+            fault_duration: 0.3,
+        },
+        horizon_hyperperiods: 3,
+        response_histogram: Some(ResponseHistogramSpec {
+            bin_width: 0.25,
+            bins: 96,
+        }),
+        latency_curves: Some(LatencyCurveSpec {
+            bin_width: 0.03125,
+            bins: 64,
+        }),
+        compare_baselines: false,
+        ..paper_validation_campaign()
+    }
+}
+
+fn run_recorded(
+    spec: &CampaignSpec,
+    threads: usize,
+    block_size: usize,
+    cache: bool,
+) -> (CampaignReport, RunCounters) {
+    let config = ExecutorConfig {
+        threads,
+        block_size,
+        progress: false,
+        heartbeat: false,
+        design_cache: cache,
+    };
+    let (report, metrics) = run_campaign_recorded(spec, &config, None).unwrap();
+    (report, metrics.counters)
+}
+
+#[test]
+fn shared_schedules_reproduce_uncached_histograms_curves_and_counters() {
+    let spec = dense_fault_paper_campaign();
+    let (reference, reference_counters) = run_recorded(&spec, 1, 32, false);
+    for scenario in &reference.scenarios {
+        let sim = &scenario.stats.sim;
+        assert_eq!(scenario.stats.accepted, spec.trials_per_scenario as u64);
+        assert!(!sim.response.is_empty(), "histograms are reported");
+        assert!(sim.latency.is_some(), "latency curves are reported");
+        assert!(sim.outcomes[Mode::NonFaultTolerant].wrong_result > 0);
+    }
+    let reference = reference.to_json();
+    let trials = (spec.scenarios().len() * spec.trials_per_scenario) as u64;
+    assert_eq!(reference_counters.sim_runs, trials);
+    assert!(reference_counters.sim_faults_injected > trials * 10);
+
+    for (threads, block_size) in [(1, 32), (1, 4), (2, 1), (2, 5), (2, 64)] {
+        let (report, counters) = run_recorded(&spec, threads, block_size, true);
+        assert_eq!(
+            report.to_json(),
+            reference,
+            "cached report diverged (threads={threads}, block={block_size})"
+        );
+        assert_eq!(
+            counters, reference_counters,
+            "cached counters diverged (threads={threads}, block={block_size})"
+        );
+    }
 }

@@ -5,12 +5,13 @@
 //! counters, same slices, same per-job records, same response times.
 //!
 //! The event engine earns its speed by jumping idle spans and walking
-//! fault windows lazily; every shortcut is only legal if it is
-//! observationally invisible. These properties are the contract.
+//! fault windows lazily, and campaigns build one design's schedule once
+//! and only re-classify it per fault draw; every shortcut is only legal
+//! if it is observationally invisible. These properties are the contract.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use ftsched_core::prelude::*;
 use ftsched_design::problem::DesignProblem;
@@ -80,8 +81,119 @@ fn assert_engines_agree(
     Ok(())
 }
 
+/// Fault draw `draw` of a battery: the empty schedule first, then
+/// alternately a dense Poisson draw and a directed one that puts a
+/// fault around a slot edge on every core in turn (straddling the edge,
+/// starting on it, or zero-length).
+fn fault_draw(rng: &mut StdRng, draw: usize, period: f64, horizon: f64) -> FaultSchedule {
+    if draw == 0 {
+        return FaultSchedule::none();
+    }
+    if draw % 2 == 1 {
+        let mean_gap = rng.gen_range(0.5..6.0);
+        return FaultSchedule::poisson(
+            rng,
+            Time::from_units(horizon),
+            Duration::from_units(mean_gap),
+            Duration::from_units(0.3),
+        );
+    }
+    let mut faults = Vec::new();
+    let mut edge = rng.gen_range(1u32..4);
+    let mut free_from = 0.0_f64;
+    for core in (0..4).cycle().take(12) {
+        let offset = match rng.gen_range(0u32..3) {
+            0 => 0.0,
+            _ => rng.gen_range(-0.3..0.3),
+        };
+        let at = (edge as f64 * period + offset).max(free_from);
+        let duration = match rng.gen_range(0u32..4) {
+            0 => 0.0,
+            _ => rng.gen_range(0.01..0.6),
+        };
+        if at + duration >= horizon {
+            break;
+        }
+        faults.push(Fault {
+            at: Time::from_units(at),
+            duration: Duration::from_units(duration),
+            core: CoreId(core),
+            mask: 0x5A5A_0000 | core as u64,
+        });
+        free_from = at + duration + 0.01;
+        edge += rng.gen_range(1u32..3);
+    }
+    FaultSchedule::new(faults).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One schedule, many fault draws: building a design's schedule once
+    /// and classifying each draw gives exactly what a fresh
+    /// `simulate_in` and the slot-stepping reference give for the same
+    /// faults — with response times on, with and without the trace.
+    #[test]
+    fn one_schedule_classifies_every_fault_draw_like_a_fresh_simulation(
+        seed in 0u64..5000,
+        fault_seed in 0u64..5000,
+        algo_pick in 0u8..3,
+        period_tenths in 4u32..20,
+        horizon_units in 10u32..200,
+        draws in 2usize..7,
+        record_trace in any::<bool>(),
+    ) {
+        let algorithm = algorithm_from(algo_pick);
+        let Some(problem) = problem_from_seed(seed, algorithm) else { return Ok(()) };
+        let period = period_tenths as f64 / 10.0;
+        let Some(slots) = slots_for(&problem, period) else { return Ok(()) };
+        let horizon = (horizon_units as f64).min(problem.tasks.hyperperiod() * 4.0);
+        let build = ScheduleConfig {
+            horizon,
+            record_trace,
+            record_response_times: true,
+        };
+        let mut arena = SimArena::new();
+        let schedule = Schedule::build(
+            &problem.tasks,
+            &problem.partition,
+            problem.algorithm,
+            &slots,
+            &build,
+            &mut arena,
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(fault_seed);
+        for draw in 0..draws {
+            let faults = fault_draw(&mut rng, draw, period, horizon);
+            let config = SimulationConfig {
+                horizon,
+                fault_schedule: faults.clone(),
+                record_trace,
+                record_response_times: true,
+            };
+            let context = format!("seed {seed}, faults {fault_seed}, draw {draw}, P={period}");
+            let classified = schedule.classify(&faults, &mut arena);
+            let reused = schedule.report(&faults, &mut arena);
+            let fresh = simulate_in(
+                &problem.tasks,
+                &problem.partition,
+                problem.algorithm,
+                &slots,
+                &config,
+                &mut arena,
+            )
+            .unwrap();
+            prop_assert!(reused == fresh, "shared schedule diverged from simulate_in: {}", context);
+            prop_assert!(
+                classified.outcomes == fresh.outcomes
+                    && classified.effective_faults == fresh.effective_faults,
+                "classification diverged from simulate_in: {}",
+                context
+            );
+            assert_engines_agree(&problem, &slots, &config, &context)?;
+        }
+    }
 
     /// Randomised workloads × Poisson fault schedules × horizons ×
     /// trace/response-time recording: the engines agree bit for bit.
