@@ -951,8 +951,9 @@ fn serve_replay_transcript(log: &str, threads: &str) -> String {
 /// steady-state of a long-running service answering repeat
 /// configurations), the uncached cold path (every request a full
 /// feasible-period search) and batched replay throughput over an
-/// exchange-style mix — plus the transcript-determinism check behind
-/// `serve_replay_deterministic`.
+/// exchange-style mix, the JSON decode of one request and of a whole
+/// report (timed, with no floor) — plus the transcript-determinism check
+/// behind `serve_replay_deterministic`.
 pub fn run_serve_bench(quick: bool) -> BenchReport {
     use ftsched_design::DesignGoal;
     use ftsched_serve::{AdmissionEngine, EngineConfig};
@@ -1014,6 +1015,27 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
         value: log_lines as f64 * 1e9 / replay_ns.max(1.0),
     });
 
+    // Decode alone, no floor: each line of the checked-in request log in
+    // turn (the malformed one included), through the `from_str` replay
+    // and the framed loop use. One iteration decodes one line.
+    let request_log = repo_text("examples/serve_requests.jsonl");
+    let lines: Vec<&str> = request_log.lines().filter(|l| !l.is_empty()).collect();
+    let mut next = 0;
+    entry(&mut entries, "serve_decode_request", quick, || {
+        let line = std::hint::black_box(lines[next % lines.len()]);
+        next += 1;
+        std::hint::black_box(serde_json::from_str::<ftsched_serve::AdmissionRequest>(line).ok());
+    });
+    // A whole report, as `convert`, `merge` and checkpoint adoption read
+    // one.
+    let report = repo_text("tests/golden/grid_sweep.json");
+    entry(&mut entries, "json_decode_report", quick, || {
+        let text = std::hint::black_box(report.as_str());
+        std::hint::black_box(
+            serde_json::from_str::<ftsched_campaign::CampaignReport>(text).unwrap(),
+        );
+    });
+
     // The transcript contract: byte-identical replay at any worker
     // count, fresh engine each side so cache state cannot leak in.
     let single = serve_replay_transcript(&log, "1");
@@ -1056,16 +1078,26 @@ pub fn check_serve_contract(report: &BenchReport) -> Result<(), String> {
     Ok(())
 }
 
+/// The repository root: two levels above this crate.
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+}
+
+/// A checked-in input file, by its path from the repository root.
+fn repo_text(relative: &str) -> String {
+    let path = repo_root().join(relative);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("bench input {} is unreadable: {e}", path.display()))
+}
+
 /// Where `BENCH_*.json` files go: `$FTSCHED_BENCH_DIR` if set, else the
-/// repository root (two levels above this crate).
+/// repository root.
 pub fn bench_output_dir() -> PathBuf {
     std::env::var_os("FTSCHED_BENCH_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-        })
+        .unwrap_or_else(repo_root)
 }
 
 /// Writes the report to `<bench dir>/<file>` and returns the path.

@@ -4,8 +4,8 @@
 use std::io::Cursor;
 
 use ftsched_serve::{
-    read_frame, serve_stream, write_frame, AdmissionEngine, AdmissionRequest, AdmissionResponse,
-    EngineConfig, TaskRequest, Verdict, DEFAULT_MAX_FRAME_BYTES,
+    read_frame, replay, serve_stream, write_frame, AdmissionEngine, AdmissionRequest,
+    AdmissionResponse, EngineConfig, TaskRequest, Verdict, DEFAULT_MAX_FRAME_BYTES,
 };
 
 fn engine() -> AdmissionEngine {
@@ -141,6 +141,75 @@ fn malformed_json_keeps_the_connection_alive() {
     assert!(matches!(responses[1].verdict, Verdict::Admitted { .. }));
     assert_eq!(stats.responses, 2);
     assert_eq!(stats.protocol_errors, 1);
+}
+
+/// 50,000 `[` then 50,000 `]`: 100 KB, well under the frame cap, and
+/// deep enough to overflow any thread's stack without a nesting limit.
+fn deeply_nested_document() -> String {
+    format!("{}{}", "[".repeat(50_000), "]".repeat(50_000))
+}
+
+fn assert_nesting_error(response: &AdmissionResponse) {
+    assert_eq!(response.id, 0);
+    match &response.verdict {
+        Verdict::Error { reason } => assert_eq!(
+            reason,
+            "malformed request: nesting deeper than 128 levels at byte 128"
+        ),
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+}
+
+#[test]
+fn deeply_nested_frame_is_a_structured_error_on_a_default_stack() {
+    let mut input = Vec::new();
+    write_frame(&mut input, deeply_nested_document().as_bytes()).unwrap();
+    write_frame(
+        &mut input,
+        serde_json::to_string(&admissible_request(13))
+            .unwrap()
+            .as_bytes(),
+    )
+    .unwrap();
+
+    // The 2 MiB stack `std::thread::spawn` gives `serve_unix`'s
+    // per-connection threads, pinned so `RUST_MIN_STACK` cannot widen it.
+    let output = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let engine = engine();
+            let mut reader = Cursor::new(input);
+            let mut output = Vec::new();
+            let stats =
+                serve_stream(&engine, &mut reader, &mut output, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!(stats.responses, 2);
+            assert_eq!(stats.protocol_errors, 1);
+            output
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+
+    let responses = decode_responses(&output);
+    assert_eq!(responses.len(), 2);
+    assert_nesting_error(&responses[0]);
+    assert_eq!(responses[1].id, 13);
+    assert!(matches!(responses[1].verdict, Verdict::Admitted { .. }));
+}
+
+#[test]
+fn replay_answers_a_deeply_nested_line() {
+    let request = serde_json::to_string(&admissible_request(17)).unwrap();
+    let log = format!("{}\n{request}\n", deeply_nested_document());
+    let mut transcript = Vec::new();
+    let stats = replay(&engine(), &log, &mut transcript, 32).unwrap();
+    assert_eq!(stats.requests, 2);
+    let lines: Vec<&str> = std::str::from_utf8(&transcript).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2);
+    assert_nesting_error(&serde_json::from_str(lines[0]).unwrap());
+    let second: AdmissionResponse = serde_json::from_str(lines[1]).unwrap();
+    assert_eq!(second.id, 17);
+    assert!(matches!(second.verdict, Verdict::Admitted { .. }));
 }
 
 #[test]
