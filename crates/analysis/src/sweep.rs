@@ -751,6 +751,14 @@ impl MinQSweep {
         self.points.is_empty()
     }
 
+    /// The largest instant or workload among the precomputed points.
+    /// Every `q(t)` the sweep evaluates at a period `P` is exact to a few
+    /// ulps of this magnitude plus `P`, so it sizes the rounding guard of
+    /// the design layer's slope-bounded period searches.
+    pub fn magnitude(&self) -> f64 {
+        self.points.iter().fold(0.0, |m, p| m.max(p.t).max(p.w))
+    }
+
     /// Evaluates `minQ` at one period by folding the closed-form `q(t)`
     /// over the precomputed points. Bit-for-bit identical to the
     /// historical [`crate::min_quantum`] at the same period.
@@ -883,6 +891,15 @@ impl MinQSweepMulti {
     /// Total number of precomputed points over all channels.
     pub fn point_count(&self) -> usize {
         self.sweeps.iter().map(MinQSweep::len).sum()
+    }
+
+    /// The largest [`MinQSweep::magnitude`] over all channels (zero with
+    /// no channels).
+    pub fn magnitude(&self) -> f64 {
+        self.sweeps
+            .iter()
+            .map(MinQSweep::magnitude)
+            .fold(0.0, f64::max)
     }
 
     /// `max_i minQ(T_i, alg, P)` at one period. With no channels the mode

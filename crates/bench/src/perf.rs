@@ -933,17 +933,14 @@ fn serve_exchange_log(requests: usize) -> String {
     log
 }
 
-fn serve_replay_transcript(log: &str, threads: &str) -> String {
+fn serve_replay_transcript(log: &str, batch_size: usize, cache: bool) -> String {
     use ftsched_serve::{AdmissionEngine, EngineConfig};
-    let saved = std::env::var_os("RAYON_NUM_THREADS");
-    std::env::set_var("RAYON_NUM_THREADS", threads);
-    let engine = AdmissionEngine::new(EngineConfig::default());
+    let engine = AdmissionEngine::new(EngineConfig {
+        cache,
+        ..EngineConfig::default()
+    });
     let mut transcript = Vec::new();
-    ftsched_serve::replay(&engine, log, &mut transcript, 32).unwrap();
-    match saved {
-        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    ftsched_serve::replay(&engine, log, &mut transcript, batch_size).unwrap();
     String::from_utf8(transcript).unwrap()
 }
 
@@ -994,7 +991,7 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
         value: cold_ns / hot_ns.max(1.0),
     });
 
-    // Replay throughput: JSONL parse + batched rayon fan-out + compact
+    // Replay throughput: JSONL parse + batched decisions + compact
     // transcript encode, over a warmed engine.
     let log_lines: usize = if quick { 64 } else { 256 };
     let log = serve_exchange_log(log_lines);
@@ -1036,13 +1033,14 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
         );
     });
 
-    // The transcript contract: byte-identical replay at any worker
-    // count, fresh engine each side so cache state cannot leak in.
-    let single = serve_replay_transcript(&log, "1");
-    let fanned = serve_replay_transcript(&log, "4");
+    // The transcript contract: byte-identical replay whatever the batch
+    // size and whether or not the caches answer, fresh engine each side
+    // so cache state cannot leak in.
+    let single = serve_replay_transcript(&log, 1, false);
+    let batched = serve_replay_transcript(&log, 32, true);
     derived.push(DerivedMetric {
         name: "serve_replay_deterministic".into(),
-        value: if single == fanned { 1.0 } else { 0.0 },
+        value: if single == batched { 1.0 } else { 0.0 },
     });
 
     BenchReport {
@@ -1054,8 +1052,8 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
 }
 
 /// The admission service's perf contract, enforced in CI alongside the
-/// kernel contracts: replay transcripts byte-identical across worker
-/// counts, and a cached decision rate of at least 100k/s at the full
+/// kernel contracts: replay transcripts byte-identical across batch sizes
+/// and cache settings, and a cached decision rate of at least 100k/s at the full
 /// budget (25k/s under the noise-prone quick budget — same rationale as
 /// the minQ contract's reduced threshold).
 ///
@@ -1064,7 +1062,11 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
 /// A human-readable description of the violated invariant.
 pub fn check_serve_contract(report: &BenchReport) -> Result<(), String> {
     if report.derived("serve_replay_deterministic") != Some(1.0) {
-        return Err("serve replay transcripts diverged across worker counts".into());
+        return Err(
+            "serve replay transcripts diverged between batch 1 without caches and batch 32 \
+             with caches"
+                .into(),
+        );
     }
     let rate = report
         .derived("serve_cached_decisions_per_sec")

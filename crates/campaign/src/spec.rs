@@ -446,6 +446,11 @@ impl CampaignSpec {
         if self.horizon_hyperperiods == 0 {
             return fail("horizon_hyperperiods must be at least 1".into());
         }
+        if let Some(samples) = self.region_samples.filter(|&n| n < 2) {
+            return fail(format!(
+                "region_samples {samples} must be at least 2: the period grid needs both ends"
+            ));
+        }
         if let Some(histogram) = &self.response_histogram {
             validate_binning("response_histogram", histogram.bin_width, histogram.bins)?;
         }
@@ -698,6 +703,28 @@ mod tests {
             ..spec
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn region_samples_below_two_are_rejected_by_name() {
+        for samples in [0, 1] {
+            let err = CampaignSpec {
+                region_samples: Some(samples),
+                ..sweep_spec()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(
+                matches!(&err, CampaignError::InvalidSpec(reason) if reason.contains("region_samples")),
+                "{err:?}"
+            );
+        }
+        CampaignSpec {
+            region_samples: Some(2),
+            ..sweep_spec()
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! ftsched metrics-strip <metrics.json>
 //! ftsched validate <spec.json>
 //! ftsched serve [--replay file.jsonl] [--out transcript.jsonl]
-//!               [--socket path.sock] [--threads N] [--batch-size N]
+//!               [--socket path.sock] [--batch-size N]
 //!               [--max-frame-bytes N] [--cache-capacity N] [--no-cache]
 //!               [--summary-json s.json]
 //! ftsched bench [--quick] [--minq] [--sim] [--sensitivity] [--serve]
@@ -57,7 +57,7 @@
 //! answers length-prefixed JSON admission requests over stdin/stdout or
 //! a unix socket through the [`ftsched_serve`] engine's hot caches, and
 //! `--replay` re-answers a JSONL request log into a transcript that is
-//! byte-identical at any `--threads` value (the golden-file contract).
+//! byte-identical at any `--batch-size` (the golden-file contract).
 //! `bench` runs the minQ / WCET-sensitivity / simulator / admission-serve
 //! micro-benchmarks and writes `BENCH_minq.json` /
 //! `BENCH_sensitivity.json` / `BENCH_sim.json` / `BENCH_serve.json` at
@@ -192,11 +192,10 @@ ENVIRONMENT:
 OPTIONS (serve):
     --replay <FILE>     answer a JSONL request log instead of serving a
                         stream; the transcript is byte-identical at any
-                        --threads value
+                        --batch-size
     --out <FILE>        replay transcript destination (default: stdout)
     --socket <PATH>     bind a unix socket and serve every connection
                         (default: one framed stream on stdin/stdout)
-    --threads <N>       rayon workers for batched replay decisions
     --batch-size <N>    requests decided per replay batch (default: 32)
     --max-frame-bytes <N>
                         frame payload cap; oversized prefixes get a
@@ -1263,15 +1262,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--summary-json" => match take_value(args, &mut i) {
                 Some(v) => summary_json = Some(v),
                 None => return usage_error("--summary-json needs a value"),
-            },
-            "--threads" => match take_value(args, &mut i) {
-                Some(v) => match v.parse::<usize>() {
-                    // The vendor rayon shim reads the worker count per
-                    // call, so setting it here covers every batch.
-                    Ok(n) if n >= 1 => std::env::set_var("RAYON_NUM_THREADS", n.to_string()),
-                    _ => return usage_error(&format!("invalid --threads value `{v}`")),
-                },
-                None => return usage_error("--threads needs a value"),
             },
             "--batch-size" => match take_value(args, &mut i).map(str::parse) {
                 Some(Ok(n)) if n >= 1 => batch_size = n,

@@ -165,6 +165,38 @@ fn merge_rejects_a_complete_report_naming_the_file() {
 }
 
 #[test]
+fn a_one_sample_period_grid_is_rejected_naming_the_field() {
+    // A grid of fewer than two samples has no spacing: every design would
+    // fail, so the spec is refused before any trial runs.
+    let dir = std::env::temp_dir().join(format!(
+        "ftsched-cli-test-samples-{}-{}",
+        std::process::id(),
+        DIR_SERIAL.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/acceptance_ratio.json"
+    ))
+    .unwrap();
+    let mut spec: CampaignSpec = serde_json::from_str(&text).unwrap();
+    spec.region_samples = Some(1);
+    let path = dir.join("spec.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&spec).unwrap()).unwrap();
+    let output = bin()
+        .args(["run", path.to_str().unwrap(), "--quiet"])
+        .output()
+        .unwrap();
+    assert!(!output.status.success(), "a one-sample grid must not run");
+    assert!(
+        stderr(&output).contains("region_samples"),
+        "stderr: {:?}",
+        stderr(&output)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_print_even_when_quiet_and_exit_codes_match_verbosity() {
     // The same failing invocation, loud and quiet: identical exit code,
     // and the quiet run still explains itself on stderr.

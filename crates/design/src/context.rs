@@ -76,6 +76,15 @@ impl AnalysisContext {
             .sum()
     }
 
+    /// The largest instant or workload of any precomputed point (see
+    /// [`MinQSweepMulti::magnitude`]).
+    pub fn magnitude(&self) -> f64 {
+        Mode::ALL
+            .iter()
+            .map(|&m| self.sweeps[m].magnitude())
+            .fold(0.0, f64::max)
+    }
+
     /// The per-mode minimum useful quanta
     /// `Q̃_k ≥ max_i minQ(T_k^i, alg, P)` of Eq. 12–14 at one period
     /// (bit-identical to [`DesignProblem::min_quanta`]).

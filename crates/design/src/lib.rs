@@ -13,7 +13,7 @@
 //!   scheduling algorithm and overheads.
 //! * [`context`] — the sweep-aware [`context::AnalysisContext`]: the
 //!   per-mode `(t, W(t))` point sets precomputed once per problem, so the
-//!   period searches below evaluate thousands of candidate periods
+//!   period searches below evaluate any number of candidate periods
 //!   without re-enumerating scheduling points or deadline sets.
 //! * [`region`] — the feasible-period region of Eq. 15: the function
 //!   `f(P) = P − Σ_k max_i minQ(T_k^i, alg, P)` whose super-level set

@@ -42,8 +42,8 @@
 //! A run owns a [`Recorder`]: one per CLI campaign run, orchestrator
 //! shard, admission engine and bench entry. [`Recorder::enter`] makes it
 //! the calling thread's *current* recorder; threads a run spawns carry
-//! it by entering it themselves (the campaign executor's workers, the
-//! admission engine's batch fan-out). Leaf sites — the simulator, the
+//! it by entering it themselves (the campaign executor's workers; the
+//! admission engine enters its own on every decision). Leaf sites — the simulator, the
 //! sweep kernels, the pipeline stages, the trial caches — never see a
 //! handle: they count through [`record`] and [`time`], which reach the
 //! current recorder through a thread-local. With no recorder entered,
@@ -823,6 +823,12 @@ counters! {
         sweep_rescales_quantised: Counter,
         /// Rescales served by the sequential f64 fallback fold.
         sweep_rescales_scalar: Counter,
+        /// Evaluations of the Eq. 15 curve `f(P)` made by the design
+        /// layer's period searches (last feasible period, peak, slack
+        /// argmax), on the grid and in their bisection or local
+        /// refinement. Full-curve sweeps are not counted. Design caches
+        /// decide how often a search runs, so this depends on scheduling.
+        region_evaluations: Counter,
         /// Schedule builds that had to grow a fresh arena. Paper
         /// campaigns build one schedule per design, not per trial.
         arena_fresh: Counter,

@@ -41,7 +41,6 @@ use ftsched_design::region::RegionConfig;
 use ftsched_design::{AnalysisContext, DesignGoal, DesignProblem, DesignSolution};
 use ftsched_obs::Recorder;
 use ftsched_task::{Task, TaskSet};
-use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::protocol::{AdmissionRequest, AdmissionResponse, DesignSummary, TaskRequest, Verdict};
@@ -218,7 +217,7 @@ pub struct ServeSummary {
 }
 
 /// The admission service's decision core. Thread-safe: the service
-/// loops share one engine across connections and rayon workers.
+/// loops share one engine across connections.
 pub struct AdmissionEngine {
     admission: MemoCache<AdmissionKey, AdmissionEntry>,
     contexts: MemoCache<ContextKey, ContextEntry>,
@@ -276,17 +275,15 @@ impl AdmissionEngine {
         }
     }
 
-    /// Decides a batch on the rayon pool. Responses come back in
-    /// request order regardless of worker count; parse failures
-    /// (`Err(reason)` slots) become structured error responses in
-    /// place. Every worker counts into this engine's recorder, which
-    /// [`Self::admit`] enters.
+    /// Decides a batch, request by request, in request order; parse
+    /// failures (`Err(reason)` slots) become structured error responses
+    /// in place.
     pub fn admit_batch(
         &self,
         batch: &[Result<AdmissionRequest, String>],
     ) -> Vec<AdmissionResponse> {
         batch
-            .par_iter()
+            .iter()
             .map(|slot| match slot {
                 Ok(request) => self.admit(request),
                 Err(reason) => self.protocol_error(reason.clone()),

@@ -14,12 +14,13 @@
 //!   paper's pipeline behind two memo tables — an **admission cache**
 //!   keyed on the task set's content hash × goal × overhead bits, and a
 //!   **hot-context cache** sharing one prepared [`ftsched_design::AnalysisContext`]
-//!   across goals of the same platform configuration. Batches are fanned
-//!   out over the rayon pool.
+//!   across goals of the same platform configuration. A batch is decided
+//!   request by request; concurrency comes from serving connections on
+//!   threads of their own.
 //! * [`server`] — the service loops: a framed stream loop, a
 //!   multi-client unix-socket accept loop, and the deterministic
 //!   [`server::replay`] mode whose response transcript is byte-identical
-//!   at any thread count (the golden-file and CI contract).
+//!   at any batch size (the golden-file and CI contract).
 //!
 //! ## Determinism contract
 //!
@@ -27,7 +28,7 @@
 //! often the design stage runs, never what it computes, and latency or
 //! cache observations never leak into response payloads. Replaying the
 //! same request log therefore produces the same transcript, byte for
-//! byte, at any `--threads` value — enforced by
+//! byte, at any `--batch-size`, with or without caches — enforced by
 //! `tests/golden/serve_transcript.jsonl` and the `BENCH_serve.json`
 //! contract.
 

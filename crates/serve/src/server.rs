@@ -121,10 +121,9 @@ pub fn serve_unix(
 /// line to `out` — the byte-reproducible transcript the goldens and the
 /// `BENCH_serve.json` contract compare.
 ///
-/// Lines are decided in batches of `batch_size` on the rayon pool;
-/// responses keep request order at any worker count, so the transcript
-/// is identical at any `--threads` value. Empty lines are skipped;
-/// malformed lines produce in-place error responses.
+/// Lines are decided in batches of `batch_size`; responses keep request
+/// order, so the transcript is identical at any batch size. Empty lines
+/// are skipped; malformed lines produce in-place error responses.
 ///
 /// # Errors
 ///

@@ -71,8 +71,8 @@ fn main() {
         },
     ];
 
-    // Batches fan out over the rayon pool; responses keep request order
-    // at any worker count.
+    // A batch is decided request by request; responses keep request
+    // order.
     let batch: Vec<Result<AdmissionRequest, String>> = queries.into_iter().map(Ok).collect();
     for response in engine.admit_batch(&batch) {
         describe(&response);
