@@ -30,12 +30,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ftsched_analysis::{min_quantum, Algorithm, MinQSweep};
+use ftsched_core::design_stage_with;
 use ftsched_design::partitioner::{partition_system, PartitionHeuristic};
+use ftsched_design::quanta::SlackPolicy;
 use ftsched_design::region::RegionConfig;
 use ftsched_design::sensitivity::{margin_search, scale_wcets, wcet_margin_curve};
-use ftsched_design::{AnalysisContext, DesignProblem};
-use ftsched_platform::FaultSchedule;
-use ftsched_sim::{simulate, simulate_in, SimArena, SimulationConfig, SlotSchedule};
+use ftsched_design::{AnalysisContext, DesignGoal, DesignProblem};
+use ftsched_platform::{FaultModel, FaultSchedule};
+use ftsched_sim::{
+    simulate, simulate_in, Schedule, ScheduleConfig, SimArena, SimulationConfig, SlotSchedule,
+};
 use ftsched_task::examples::{paper_example, paper_taskset, PAPER_TOTAL_OVERHEAD};
 use ftsched_task::generator::{generate_taskset, GeneratorConfig, ModeMix, PeriodDistribution};
 use ftsched_task::{Duration, Mode, PerMode, TaskSet, Time};
@@ -800,6 +804,20 @@ pub fn run_sim_bench(quick: bool) -> BenchReport {
         );
     }
 
+    // Classification alone: the six Table 1 designs `validate_faults`
+    // validates, each scheduled once, under fault draws of that
+    // workload's density. One iteration classifies one (design, draw)
+    // pair, cycling through all of them.
+    let designs = paper_schedules_under_faults(8);
+    let mut arena = SimArena::new();
+    let mut next = 0;
+    entry(&mut entries, "sim_classify/paper", quick, || {
+        let (schedule, draws) = &designs[next % designs.len()];
+        let faults = &draws[next / designs.len() % draws.len()];
+        next += 1;
+        std::hint::black_box(schedule.classify(faults, &mut arena));
+    });
+
     // The speedup contract anchors at the longest horizon, fault-free
     // and fault-injected alike.
     let min_2400 = [
@@ -858,6 +876,57 @@ pub fn run_sim_bench(quick: bool) -> BenchReport {
     }
 }
 
+/// The six Table 1 designs of the `validate_faults` workload (EDF and RM
+/// × overheads {0.01, 0.03, 0.05}, minimum overhead bandwidth), each
+/// scheduled once over four hyperperiods with response times recorded,
+/// paired with `draws` seeded Poisson fault schedules (mean gap 4,
+/// length 0.25) over that horizon.
+fn paper_schedules_under_faults(draws: usize) -> Vec<(Schedule, Vec<FaultSchedule>)> {
+    let faults = FaultModel::Poisson {
+        mean_interarrival: 4.0,
+        fault_duration: 0.25,
+    };
+    let mut rng = StdRng::seed_from_u64(2007);
+    let mut arena = SimArena::new();
+    let mut designs = Vec::new();
+    for algorithm in [Algorithm::EarliestDeadlineFirst, Algorithm::RateMonotonic] {
+        for overhead in [0.01, 0.03, 0.05] {
+            let (tasks, partition) = paper_example();
+            let problem =
+                DesignProblem::with_total_overhead(tasks, partition, overhead, algorithm).unwrap();
+            let ctx = problem.analysis_context().unwrap();
+            let (_, slots) = design_stage_with(
+                &problem,
+                &ctx,
+                DesignGoal::MinimizeOverheadBandwidth,
+                &RegionConfig::for_problem(&problem),
+                SlackPolicy::KeepUnallocated,
+            )
+            .unwrap();
+            let config = ScheduleConfig {
+                horizon: problem.tasks.hyperperiod() * 4.0,
+                record_trace: false,
+                record_response_times: true,
+            };
+            let schedule = Schedule::build(
+                &problem.tasks,
+                &problem.partition,
+                algorithm,
+                &slots,
+                &config,
+                &mut arena,
+            )
+            .unwrap();
+            let horizon = Time::from_units(config.horizon);
+            let draws = (0..draws)
+                .map(|_| faults.schedule(&mut rng, horizon))
+                .collect();
+            designs.push((schedule, draws));
+        }
+    }
+    designs
+}
+
 /// The event engine's perf contract, enforced in CI alongside the kernel
 /// contracts: the full simulation report bit-identical to the retired
 /// slot-stepping engine, and a minimum speedup over it at the 2400-unit
@@ -888,7 +957,7 @@ pub fn check_sim_contract(report: &BenchReport) -> Result<(), String> {
 /// heuristic that leaves the full set admissible, see the serve tests).
 fn serve_request(
     id: u64,
-    goal: ftsched_design::DesignGoal,
+    goal: DesignGoal,
     total_overhead: f64,
 ) -> ftsched_serve::AdmissionRequest {
     let tasks = paper_taskset()
@@ -915,7 +984,6 @@ fn serve_request(
 /// configuration plus a sprinkle of distinct overheads — mostly
 /// admission-cache hits, every miss at least a context-cache hit.
 fn serve_exchange_log(requests: usize) -> String {
-    use ftsched_design::DesignGoal;
     let mut log = String::new();
     for i in 0..requests {
         let goal = if i % 2 == 0 {
@@ -949,10 +1017,10 @@ fn serve_replay_transcript(log: &str, batch_size: usize, cache: bool) -> String 
 /// configurations), the uncached cold path (every request a full
 /// feasible-period search) and batched replay throughput over an
 /// exchange-style mix, the JSON decode of one request and of a whole
-/// report (timed, with no floor) — plus the transcript-determinism check
-/// behind `serve_replay_deterministic`.
+/// report and the JSON encode of one response (timed, with no floor) —
+/// plus the transcript-determinism check behind
+/// `serve_replay_deterministic`.
 pub fn run_serve_bench(quick: bool) -> BenchReport {
-    use ftsched_design::DesignGoal;
     use ftsched_serve::{AdmissionEngine, EngineConfig};
 
     let mut entries = Vec::new();
@@ -1022,6 +1090,20 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
         let line = std::hint::black_box(lines[next % lines.len()]);
         next += 1;
         std::hint::black_box(serde_json::from_str::<ftsched_serve::AdmissionRequest>(line).ok());
+    });
+    // Encode alone, no floor: each response of the checked-in serve
+    // transcript in turn, through the compact writer `replay` and the
+    // framed loop use. One iteration encodes one response.
+    let transcript = repo_text("tests/golden/serve_transcript.jsonl");
+    let responses: Vec<ftsched_serve::AdmissionResponse> = transcript
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let mut next = 0;
+    entry(&mut entries, "serve_encode_response", quick, || {
+        let response = std::hint::black_box(&responses[next % responses.len()]);
+        next += 1;
+        std::hint::black_box(serde_json::to_string(response).unwrap());
     });
     // A whole report, as `convert`, `merge` and checkpoint adoption read
     // one.

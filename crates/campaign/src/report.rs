@@ -126,16 +126,17 @@ impl ScenarioReport {
 // their axis is explicit, so reports of pre-axis specs do not change by
 // a byte. Field order otherwise matches the old derive output.
 impl Serialize for ScenarioReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
+    fn to_value(&self) -> serde::Value<'_> {
+        let mut fields = Vec::with_capacity(6);
+        fields.extend([
             ("scenario".into(), self.scenario.to_value()),
             ("algorithm".into(), self.algorithm.to_value()),
             ("utilization".into(), self.utilization.to_value()),
-        ];
-        if let Some(overhead) = self.overhead {
+        ]);
+        if let Some(overhead) = &self.overhead {
             fields.push(("overhead".into(), overhead.to_value()));
         }
-        if let Some(heuristic) = self.partition_heuristic {
+        if let Some(heuristic) = &self.partition_heuristic {
             fields.push(("partition_heuristic".into(), heuristic.to_value()));
         }
         fields.push(("stats".into(), self.stats.to_value()));
@@ -144,7 +145,7 @@ impl Serialize for ScenarioReport {
 }
 
 impl Deserialize for ScenarioReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected a map for `ScenarioReport`"))?;
@@ -219,13 +220,16 @@ pub struct CampaignReport {
 // statistics at serialisation time — deserialisation recomputes it — so
 // shard-merged reports reproduce it byte-identically for free.
 impl Serialize for CampaignReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
+    fn to_value(&self) -> serde::Value<'_> {
+        let mut fields = Vec::with_capacity(5);
+        fields.extend([
             ("spec".into(), self.spec.to_value()),
             ("scenarios".into(), self.scenarios.to_value()),
-        ];
+        ]);
         if let Some(points) = self.pooled_latency_curve() {
-            fields.push(("latency_curve".into(), points.to_value()));
+            // Computed here rather than read from `self`, so its tree
+            // cannot borrow and owns its (few) keys instead.
+            fields.push(("latency_curve".into(), points.to_value().into_owned()));
         }
         if let Some(shard) = &self.shard {
             fields.push(("shard".into(), shard.to_value()));
@@ -238,7 +242,7 @@ impl Serialize for CampaignReport {
 }
 
 impl Deserialize for CampaignReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected a map for `CampaignReport`"))?;

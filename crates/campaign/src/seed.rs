@@ -70,4 +70,72 @@ mod tests {
         assert_eq!(trial_seed(0, 0, 0), 12035550249420947055);
         assert_eq!(trial_seed(2007, 1, 2), 13932908895897689928);
     }
+
+    /// Known-answer vectors of the `rand` shim, frozen like the
+    /// derivation above: every synthetic task set and fault draw in the
+    /// report goldens rests on these draws. Floats are pinned by their
+    /// bits.
+    #[test]
+    fn rand_shim_draws_are_frozen() {
+        use ftsched_task::generator::{generate_taskset, uunifast, GeneratorConfig};
+        use ftsched_task::Mode;
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(2007);
+        let raw: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            raw,
+            [
+                0xb202_b9fb_9feb_d18d,
+                0x4459_6ac5_3908_c86a,
+                0x8bfc_5d2e_bf07_d85e,
+                0x254b_7d6d_9d15_e998,
+            ]
+        );
+        let unit: Vec<u64> = (0..3).map(|_| rng.gen::<f64>().to_bits()).collect();
+        assert_eq!(
+            unit,
+            [
+                0x3fe1_ea83_c10f_4e8e,
+                0x3fe6_6060_bf71_75a1,
+                0x3fd6_72af_5e49_1aee,
+            ]
+        );
+        let ints: Vec<u64> = (0..4).map(|_| rng.gen_range(0u64..1000)).collect();
+        assert_eq!(ints, [231, 235, 698, 297]);
+        assert_eq!(rng.gen_range(2.0..8.0f64).to_bits(), 0x401b_cca1_422d_82df);
+
+        let mut rng = StdRng::seed_from_u64(2007);
+        let utils: Vec<u64> = uunifast(&mut rng, 4, 1.5)
+            .iter()
+            .map(|u| u.to_bits())
+            .collect();
+        assert_eq!(
+            utils,
+            [
+                0x3fc5_e682_1024_98f0,
+                0x3fe4_8d45_fcab_c381,
+                0x3fd3_ea5e_e525_2fd2,
+                0x3fd8_07d4_1970_fcb4,
+            ]
+        );
+
+        let mut rng = StdRng::seed_from_u64(2007);
+        let set = generate_taskset(&mut rng, &GeneratorConfig::paper_like(5, 1.2)).unwrap();
+        let tasks: Vec<(u32, u64, f64, f64, Mode)> = set
+            .iter()
+            .map(|t| (t.id.0, t.wcet.to_bits(), t.period, t.deadline, t.mode))
+            .collect();
+        assert_eq!(
+            tasks,
+            [
+                (1, 0x3ff4_0175_3980_0634, 12.0, 12.0, Mode::NonFaultTolerant),
+                (2, 0x4008_f8f3_39f3_3b3a, 8.0, 8.0, Mode::FaultTolerant),
+                (3, 0x3ff1_a5d1_ed66_605f, 6.0, 6.0, Mode::NonFaultTolerant),
+                (4, 0x400c_8766_1404_9e0f, 8.0, 8.0, Mode::NonFaultTolerant),
+                (5, 0x3fe8_5317_ada8_cb52, 10.0, 10.0, Mode::FailSilent),
+            ]
+        );
+    }
 }

@@ -228,8 +228,10 @@ pub struct CampaignSpec {
 // defaults, and tolerated as absent on the way in. The field order
 // matches the declaration order, exactly as the derive would emit.
 impl Serialize for CampaignSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
+    fn to_value(&self) -> serde::Value<'_> {
+        // Sized for every optional field: one allocation.
+        let mut fields = Vec::with_capacity(21);
+        fields.extend([
             ("name".into(), self.name.to_value()),
             ("master_seed".into(), self.master_seed.to_value()),
             (
@@ -261,7 +263,7 @@ impl Serialize for CampaignSpec {
                 "region_refine_iterations".into(),
                 self.region_refine_iterations.to_value(),
             ),
-        ];
+        ]);
         if !self.overheads.is_empty() {
             fields.push(("overheads".into(), self.overheads.to_value()));
         }
@@ -287,7 +289,7 @@ impl Serialize for CampaignSpec {
 /// One required spec field, mirroring the derive macro's semantics:
 /// a missing field is tried against `null` (so `Option` fields may be
 /// omitted) and otherwise reported by name.
-fn required<T: Deserialize>(m: &[(String, serde::Value)], name: &str) -> Result<T, serde::Error> {
+fn required<T: Deserialize>(m: &serde::Entries<'_>, name: &str) -> Result<T, serde::Error> {
     match serde::get_field(m, name) {
         Some(v) => T::from_value(v),
         None => T::from_value(&serde::Value::Null)
@@ -298,7 +300,7 @@ fn required<T: Deserialize>(m: &[(String, serde::Value)], name: &str) -> Result<
 /// One optional spec field with an explicit default for when it is
 /// absent (the extension axes of pre-axis specs).
 fn optional<T: Deserialize>(
-    m: &[(String, serde::Value)],
+    m: &serde::Entries<'_>,
     name: &str,
     default: T,
 ) -> Result<T, serde::Error> {
@@ -309,7 +311,7 @@ fn optional<T: Deserialize>(
 }
 
 impl Deserialize for CampaignSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected a map for `CampaignSpec`"))?;

@@ -401,8 +401,9 @@ pub struct SimAggregate {
 // pre-histogram reports); everything else matches the derive's output
 // field for field.
 impl Serialize for SimAggregate {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
+    fn to_value(&self) -> serde::Value<'_> {
+        let mut fields = Vec::with_capacity(15);
+        fields.extend([
             ("runs".into(), self.runs.to_value()),
             ("released_jobs".into(), self.released_jobs.to_value()),
             ("completed_jobs".into(), self.completed_jobs.to_value()),
@@ -427,7 +428,7 @@ impl Serialize for SimAggregate {
                 "max_response_time".into(),
                 self.max_response_time.to_value(),
             ),
-        ];
+        ]);
         if !self.response.is_empty() {
             fields.push(("response".into(), self.response.to_value()));
         }
@@ -442,7 +443,7 @@ impl Serialize for SimAggregate {
 }
 
 impl Deserialize for SimAggregate {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
         let m = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected a map for `SimAggregate`"))?;

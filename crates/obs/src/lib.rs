@@ -76,13 +76,14 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Entries, Serialize, Value};
 
 /// A monotonically increasing event counter (relaxed atomic `u64`).
 ///
@@ -325,18 +326,18 @@ pub struct StageSpan {
 }
 
 impl Serialize for StageSpan {
-    fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value<'_> {
         Value::Map(vec![
             entry("stage", self.stage.label()),
-            entry("count", self.histo.count),
-            entry("total_nanos", self.histo.total_nanos),
+            entry("count", &self.histo.count),
+            entry("total_nanos", &self.histo.total_nanos),
             entry("bins_micros_log2", &self.histo.bins),
         ])
     }
 }
 
 impl Deserialize for StageSpan {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &Value<'_>) -> Result<Self, serde::Error> {
         let m = map_of(v, "StageSpan")?;
         let label: String = field(m, "stage", "StageSpan")?;
         let stage = Stage::ALL
@@ -370,19 +371,18 @@ fn zip_spans(ours: &[StageSpan], theirs: &[StageSpan], f: fn(u64, u64) -> u64) -
     out
 }
 
-fn entry(key: &str, value: impl Serialize) -> (String, Value) {
-    (key.to_owned(), value.to_value())
+fn entry<'a, T: Serialize + ?Sized>(key: &'static str, value: &'a T) -> (Cow<'a, str>, Value<'a>) {
+    (Cow::Borrowed(key), value.to_value())
 }
 
-fn map_of<'a>(v: &'a Value, ty: &str) -> Result<&'a [(String, Value)], serde::Error> {
+fn map_of<'v, 'a>(v: &'v Value<'a>, ty: &str) -> Result<&'v Entries<'a>, serde::Error> {
     v.as_map()
-        .map(Vec::as_slice)
         .ok_or_else(|| serde::Error::custom(format!("expected a map for `{ty}`")))
 }
 
 /// One named field, read the way the derive macro reads it: a missing
 /// key is tried against `null`.
-fn field<T: Deserialize>(m: &[(String, Value)], key: &str, ty: &str) -> Result<T, serde::Error> {
+fn field<T: Deserialize>(m: &Entries<'_>, key: &str, ty: &str) -> Result<T, serde::Error> {
     match serde::get_field(m, key) {
         Some(v) => T::from_value(v),
         None => T::from_value(&Value::Null)
@@ -423,16 +423,16 @@ impl RunMetrics {
 }
 
 impl Serialize for RunMetrics {
-    fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value<'_> {
         Value::Map(vec![
-            entry("counters", self.counters),
+            entry("counters", &self.counters),
             entry("timings", &self.timing),
         ])
     }
 }
 
 impl Deserialize for RunMetrics {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &Value<'_>) -> Result<Self, serde::Error> {
         let m = map_of(v, "RunMetrics")?;
         Ok(RunMetrics {
             counters: field(m, "counters", "RunMetrics")?,
@@ -716,11 +716,11 @@ macro_rules! counters {
         }
 
         impl Serialize for RunTimings {
-            fn to_value(&self) -> Value {
+            fn to_value(&self) -> Value<'_> {
                 Value::Map(vec![
-                    entry("wall_seconds", self.wall_seconds),
-                    entry("workers", self.workers),
-                    $( entry(stringify!($t), self.$t), )*
+                    entry("wall_seconds", &self.wall_seconds),
+                    entry("workers", &self.workers),
+                    $( entry(stringify!($t), &self.$t), )*
                     entry("stages", &self.spans),
                     entry("worker_trials", &self.worker_trials),
                 ])
@@ -728,7 +728,7 @@ macro_rules! counters {
         }
 
         impl Deserialize for RunTimings {
-            fn from_value(v: &Value) -> Result<Self, serde::Error> {
+            fn from_value(v: &Value<'_>) -> Result<Self, serde::Error> {
                 let m = map_of(v, "RunTimings")?;
                 Ok(RunTimings {
                     wall_seconds: field(m, "wall_seconds", "RunTimings")?,
@@ -997,7 +997,7 @@ mod tests {
             .as_map()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| &**k)
             .collect();
         assert_eq!(keys.first(), Some(&"wall_seconds"));
         assert_eq!(keys[2], "design_cache");

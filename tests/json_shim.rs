@@ -4,6 +4,7 @@
 //! document. Malformed input must come back as a named error, never a
 //! panic.
 
+use std::borrow::Cow;
 use std::path::Path;
 
 use ftsched::serve::AdmissionRequest;
@@ -109,8 +110,72 @@ proptest! {
         // As a map key and inside an array.
         let doc = format!("{{{text}:[{text}]}}");
         let parsed = serde_json::parse_value_complete(&doc).unwrap();
-        prop_assert_eq!(parsed, Value::Map(vec![(s.clone(), Value::Seq(vec![Value::Str(s)]))]));
+        prop_assert_eq!(
+            &parsed,
+            &Value::Map(vec![(s.as_str().into(), Value::Seq(vec![Value::Str(s.as_str().into())]))])
+        );
+        // Only a string the writer had to escape comes back owned.
+        let Value::Map(entries) = &parsed else { unreachable!() };
+        let escaped = text.contains('\\');
+        prop_assert_eq!(matches!(entries[0].0, Cow::Owned(_)), escaped);
+        let Value::Seq(items) = &entries[0].1 else { unreachable!() };
+        prop_assert_eq!(matches!(items[0], Value::Str(Cow::Owned(_))), escaped);
     }
+}
+
+/// Whether `s` points into `text` rather than at a copy of it.
+fn points_into(s: &str, text: &str) -> bool {
+    text.as_bytes().as_ptr_range().contains(&s.as_ptr())
+}
+
+#[test]
+fn unescaped_strings_are_borrowed_from_the_input_and_escaped_ones_owned() {
+    let text = r#"{"plain": ["run", "", "café \u00e9"], "esc\"aped": "a\nb", "\u0041": 1}"#;
+    let value = serde_json::parse_value_complete(text).unwrap();
+    let entries = value.as_map().unwrap();
+    let keys: Vec<&Cow<'_, str>> = entries.iter().map(|(k, _)| k).collect();
+    assert!(matches!(keys[0], Cow::Borrowed(k) if *k == "plain" && points_into(k, text)));
+    assert!(matches!(keys[1], Cow::Owned(k) if k == "esc\"aped"));
+    assert!(matches!(keys[2], Cow::Owned(k) if k == "A"));
+
+    let items = entries[0].1.as_seq().unwrap();
+    assert!(
+        matches!(&items[0], Value::Str(Cow::Borrowed(s)) if *s == "run" && points_into(s, text))
+    );
+    assert!(matches!(&items[1], Value::Str(Cow::Borrowed(""))));
+    // Raw non-ASCII text needs no escape; `\u00e9` does.
+    assert!(matches!(&items[2], Value::Str(Cow::Owned(s)) if s == "caf\u{e9} \u{e9}"));
+    assert!(matches!(&entries[1].1, Value::Str(Cow::Owned(s)) if s == "a\nb"));
+
+    // A whole request line borrows every key and string it holds.
+    let log = std::fs::read_to_string(repo_path("examples/serve_requests.jsonl")).unwrap();
+    let line = log.lines().next().unwrap();
+    let mut strings = 0;
+    let mut stack = vec![serde_json::parse_value_complete(line).unwrap()];
+    while let Some(v) = stack.pop() {
+        match v {
+            Value::Str(s) => {
+                assert!(
+                    matches!(&s, Cow::Borrowed(b) if points_into(b, line)),
+                    "{s}"
+                );
+                strings += 1;
+            }
+            Value::Seq(items) => stack.extend(items),
+            Value::Map(entries) => {
+                for (k, v) in entries {
+                    assert!(
+                        matches!(&k, Cow::Borrowed(b) if points_into(b, line)),
+                        "{k}"
+                    );
+                    strings += 1;
+                    stack.push(v);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(strings > 80, "only {strings} keys and strings in line 1");
 }
 
 // ---------------------------------------------------------------------------

@@ -143,13 +143,13 @@ fn arb_outcome() -> impl Strategy<Value = TrialOutcome> {
 /// counter is covered without touching this file.
 fn arb_counters() -> impl Strategy<Value = RunCounters> {
     let names: Vec<String> = match serde_json::to_value(&RunCounters::default()) {
-        serde::Value::Map(fields) => fields.into_iter().map(|(name, _)| name).collect(),
+        serde::Value::Map(fields) => fields.into_iter().map(|(name, _)| name.into()).collect(),
         other => panic!("counters serialise as a map, not {other:?}"),
     };
     prop::collection::vec(any::<u64>(), names.len()).prop_map(move |values| {
         let fields = names
             .iter()
-            .cloned()
+            .map(|name| name.as_str().into())
             .zip(values.into_iter().map(serde::Value::U64))
             .collect();
         serde::Deserialize::from_value(&serde::Value::Map(fields)).unwrap()
