@@ -31,6 +31,7 @@ use rand::SeedableRng;
 
 use ftsched_analysis::{min_quantum, Algorithm, MinQSweep};
 use ftsched_core::design_stage_with;
+use ftsched_design::baseline::compare_static_schemes;
 use ftsched_design::partitioner::{partition_system, PartitionHeuristic};
 use ftsched_design::quanta::SlackPolicy;
 use ftsched_design::region::RegionConfig;
@@ -363,13 +364,35 @@ fn mode_sets() -> Vec<(&'static str, TaskSet)> {
 
 /// The period grid the kernel comparison sweeps (well past the paper's
 /// Figure 4 range, ≥ 100 points as the perf contract demands).
+/// The `static_baselines/*` batch: 26 generated 10-task sets of the
+/// campaign examples' shape, two per utilisation 0.6, 0.8, …, 3.0.
+fn static_baseline_sets() -> Vec<TaskSet> {
+    let mut rng = StdRng::seed_from_u64(2007);
+    (0..26)
+        .map(|i| {
+            let config = GeneratorConfig {
+                task_count: 10,
+                total_utilization: 0.6 + 0.2 * (i / 2) as f64,
+                max_task_utilization: 0.7,
+                periods: PeriodDistribution::Choice {
+                    periods: [4.0, 6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 30.0],
+                },
+                mode_mix: ModeMix::paper_like(),
+                period_granularity: None,
+            };
+            generate_taskset(&mut rng, &config).expect("the seeded draws are generable")
+        })
+        .collect()
+}
+
 fn period_grid() -> Vec<f64> {
     (1..=120).map(|i| 0.03 * i as f64).collect()
 }
 
 /// Benchmarks the minQ kernel: single-shot calls per mode channel, the
-/// per-sample grid baseline vs the sweep-aware [`MinQSweep`] kernel, and
-/// the Eq. 15 region sweep with and without a shared [`AnalysisContext`].
+/// per-sample grid baseline vs the sweep-aware [`MinQSweep`] kernel, the
+/// Eq. 15 region sweep with and without a shared [`AnalysisContext`],
+/// and the three static baseline verdicts of a campaign trial.
 pub fn run_minq_bench(quick: bool) -> BenchReport {
     let mut entries = Vec::new();
     let grid = period_grid();
@@ -466,6 +489,26 @@ pub fn run_minq_bench(quick: bool) -> BenchReport {
         name: "eq15_grid120_speedup/EDF".into(),
         value: per_sample / ctx_ns.max(1.0),
     });
+
+    // The static baselines of a `compare_baselines` trial, over a fixed
+    // batch of generated 10-task sets; one iteration decides the batch.
+    let baseline_sets = static_baseline_sets();
+    for alg in [Algorithm::EarliestDeadlineFirst, Algorithm::RateMonotonic] {
+        entry(
+            &mut entries,
+            format!("static_baselines/{}", alg.label()),
+            quick,
+            || {
+                for tasks in &baseline_sets {
+                    std::hint::black_box(compare_static_schemes(
+                        std::hint::black_box(tasks),
+                        alg,
+                        true,
+                    ));
+                }
+            },
+        );
+    }
 
     let min_grid_speedup = speedups
         .iter()

@@ -15,14 +15,16 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use ftsched_core::pipeline::{
-    design_stage_with, validation_horizon, validation_span, PipelineError, PipelineOutcome,
+    design_stage_at, validation_horizon, validation_span, PipelineError, PipelineOutcome,
 };
-use ftsched_design::baseline::compare_schemes_with;
+use ftsched_design::baseline::{compare_static_schemes, BaselineComparison};
+use ftsched_design::goals::goal_period_with;
 use ftsched_design::partitioner::partition_system;
 use ftsched_design::problem::DesignProblem;
 use ftsched_design::region::max_feasible_period_with;
 use ftsched_design::sensitivity::wcet_scaling_margin_with;
-use ftsched_design::DesignSolution;
+use ftsched_design::{DesignGoal, DesignSolution};
+use ftsched_obs::Stage;
 use ftsched_platform::FaultSchedule;
 use ftsched_sim::report::OutcomeCounts;
 use ftsched_sim::{Schedule, ScheduleConfig, SimArena, SimError, SlotSchedule};
@@ -237,6 +239,17 @@ pub struct BaselineVerdicts {
     pub primary_backup: bool,
 }
 
+impl From<BaselineComparison> for BaselineVerdicts {
+    fn from(cmp: BaselineComparison) -> Self {
+        BaselineVerdicts {
+            flexible: cmp.flexible,
+            static_lockstep: cmp.static_lockstep,
+            static_parallel: cmp.static_parallel,
+            primary_backup: cmp.primary_backup,
+        }
+    }
+}
+
 /// The complete, serialisable outcome of one trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrialOutcome {
@@ -254,47 +267,66 @@ pub struct TrialOutcome {
     pub sim: Option<SimSummary>,
 }
 
-/// The deterministic, trial-independent prefix of a `WorkloadSpec::Paper`
-/// trial: problem construction, baseline comparison and the design stage.
-/// A pure function of `(spec, scenario)` — no randomness — which is what
-/// the campaign's [`DesignCache`] shares across trials and workers.
+/// The deterministic design prefix of one trial: problem construction,
+/// analysis context, baseline verdicts and the design stage with its
+/// WCET margin. Paper trials cache it per scenario in the
+/// [`DesignCache`]; synthetic trials compute it per trial.
 #[derive(Debug)]
-pub(crate) struct PaperPrefix {
+struct DesignPrefix {
     baselines: Option<BaselineVerdicts>,
-    stage: PaperStage,
+    stage: DesignStage,
 }
 
-/// Where the deterministic prefix stopped, mirroring the per-trial
-/// statuses of the uncached path exactly.
+/// Where the design prefix stopped; each variant maps to one trial
+/// status.
 #[derive(Debug)]
-enum PaperStage {
-    /// Problem construction failed (cannot happen for the paper example;
-    /// kept so the cached path maps statuses 1:1 with the uncached one).
+enum DesignStage {
+    /// Problem construction failed.
     ProblemInvalid,
-    /// Feasibility verdict of a [`TrialKind::DesignOnly`] campaign.
-    DesignOnly { feasible: bool },
-    /// Full design-stage result of a [`TrialKind::DesignAndValidate`]
-    /// campaign; the per-trial remainder is fault draw + classification.
+    /// A [`TrialKind::DesignOnly`] campaign found a feasible period.
+    Feasible,
+    /// The feasible-period region of Eq. 15 is empty for the overhead,
+    /// or the goal's period does not fit.
+    Rejected,
+    /// Design-stage result of a [`TrialKind::DesignAndValidate`]
+    /// campaign; the rest of the trial is fault draw and classification.
     /// Boxed: this variant dwarfs the tag-only ones.
-    Designed(Box<DesignedStage>),
-    /// The feasible-period region of Eq. 15 is empty for the overhead.
-    DesignRejected,
+    Designed(Box<Designed>),
     /// Slot-schedule construction failed (cannot happen for consistent
     /// designs).
     SlotsFailed,
 }
 
-/// The cached output of the design stage for one Paper scenario.
+/// The output of one trial's design stage.
 #[derive(Debug)]
-struct DesignedStage {
+struct Designed {
     problem: DesignProblem,
     solution: DesignSolution,
     slots: SlotSchedule,
-    /// The design's schedule and fault-free summary, `None` when the
-    /// simulator rejected it. The summary carries the WCET-scaling margin
-    /// (when the spec's `wcet_margin` metric is enabled), computed once
-    /// through the prefix's shared analysis context.
+    /// WCET-scaling margin at the chosen period, when the spec's
+    /// `wcet_margin` metric is enabled.
+    wcet_margin: Option<f64>,
+}
+
+/// The cached prefix of a `WorkloadSpec::Paper` trial: a pure function of
+/// `(spec, scenario)`, since the paper workload draws nothing before its
+/// faults, which never change a schedule.
+#[derive(Debug)]
+pub(crate) struct PaperPrefix {
+    design: DesignPrefix,
+    /// The design's schedule and fault-free summary, shared by every
+    /// fault draw; `None` when nothing was designed or the simulator
+    /// rejected the design.
     validation: Option<Validation>,
+}
+
+/// Where a designed trial's schedule comes from.
+#[derive(Clone, Copy)]
+enum ScheduleSource<'a> {
+    /// The paper prefix's shared one (`None`: the simulator rejected it).
+    Shared(Option<&'a Validation>),
+    /// Built for this trial alone.
+    Own,
 }
 
 /// The design-cache type campaigns share across workers.
@@ -409,7 +441,7 @@ pub(crate) fn prime_design_cache(
     }
 }
 
-/// Computes the deterministic prefix of a Paper-workload trial.
+/// Computes the cached prefix of a Paper-workload trial.
 fn paper_prefix(
     spec: &CampaignSpec,
     scenario: &Scenario,
@@ -417,81 +449,111 @@ fn paper_prefix(
     arena: &mut SimArena,
 ) -> PaperPrefix {
     let (tasks, partition) = ftsched_task::examples::paper_example();
-    let problem = match DesignProblem::with_total_overhead(
-        tasks,
-        partition,
-        scenario.overhead,
-        scenario.algorithm,
-    ) {
-        Ok(p) => p,
-        Err(_) => {
-            return PaperPrefix {
-                baselines: None,
-                stage: PaperStage::ProblemInvalid,
-            }
-        }
+    let design = design_prefix(spec, scenario, tasks, partition);
+    let validation = match &design.stage {
+        DesignStage::Designed(designed) => validation(spec, designed, record_trace, arena).ok(),
+        _ => None,
+    };
+    PaperPrefix { design, validation }
+}
+
+/// Computes the design prefix of one trial, all inside one design span.
+///
+/// The analysis context is built once, and `max_feasible_period_with`
+/// runs at most once: its result is the flexible-scheme verdict, the
+/// `DesignOnly` verdict and, under `MinimizeOverheadBandwidth`, the
+/// design's period or its rejection.
+fn design_prefix(
+    spec: &CampaignSpec,
+    scenario: &Scenario,
+    tasks: TaskSet,
+    partition: SystemPartition,
+) -> DesignPrefix {
+    let _span = ftsched_obs::time(Stage::Design);
+    let Ok(problem) =
+        DesignProblem::with_total_overhead(tasks, partition, scenario.overhead, scenario.algorithm)
+    else {
+        return DesignPrefix {
+            baselines: None,
+            stage: DesignStage::ProblemInvalid,
+        };
     };
     let region = spec.region_config(&problem);
-    // One point-set enumeration serves the baseline comparison and the
-    // design search alike.
     let ctx = problem
         .analysis_context()
         .expect("a validated problem always yields a context");
+    let design_only = matches!(spec.kind, TrialKind::DesignOnly);
+    let min_overhead = matches!(spec.goal, DesignGoal::MinimizeOverheadBandwidth);
+    let search = (spec.compare_baselines || design_only || min_overhead)
+        .then(|| max_feasible_period_with(&ctx, &region));
+    let feasible = matches!(search, Some(Ok(_)));
+    let baselines = spec
+        .compare_baselines
+        .then(|| compare_static_schemes(&problem.tasks, problem.algorithm, feasible).into());
+    if design_only {
+        return DesignPrefix {
+            baselines,
+            stage: if feasible {
+                DesignStage::Feasible
+            } else {
+                DesignStage::Rejected
+            },
+        };
+    }
 
-    let baselines = spec.compare_baselines.then(|| {
-        let cmp = compare_schemes_with(&problem, &ctx, &region)
-            .expect("compare_schemes is infallible on a validated problem");
-        BaselineVerdicts {
-            flexible: cmp.flexible,
-            static_lockstep: cmp.static_lockstep,
-            static_parallel: cmp.static_parallel,
-            primary_backup: cmp.primary_backup,
-        }
-    });
-
-    let stage = match spec.kind {
-        TrialKind::DesignOnly => {
-            let feasible = match &baselines {
-                // `compare_schemes` already answered the feasibility
-                // question; don't sweep the region twice.
-                Some(b) => b.flexible,
-                None => max_feasible_period_with(&ctx, &region).is_ok(),
-            };
-            PaperStage::DesignOnly { feasible }
-        }
-        TrialKind::DesignAndValidate => {
-            match design_stage_with(&problem, &ctx, spec.goal, &region, spec.slack_policy) {
-                Ok((solution, slots)) => {
-                    let wcet_margin = spec.wcet_margin.map(|m| {
-                        wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
-                            .expect("a designed period always admits a margin search")
-                    });
-                    let validation = build_schedule(spec, &problem, &slots, record_trace, arena)
-                        .ok()
-                        .map(|schedule| Validation {
-                            summary: SimSummary::fault_free(
-                                &solution,
-                                &schedule,
-                                &problem.tasks,
-                                spec.response_histogram,
-                                wcet_margin,
-                                spec.latency_curves,
-                            ),
-                            schedule,
-                        });
-                    PaperStage::Designed(Box::new(DesignedStage {
-                        problem,
-                        solution,
-                        slots,
-                        validation,
-                    }))
-                }
-                Err(PipelineError::Design(_)) => PaperStage::DesignRejected,
-                Err(PipelineError::Simulation(_)) => PaperStage::SlotsFailed,
-            }
-        }
+    ftsched_obs::record(|m| m.design_stage_runs.incr());
+    let period = match search {
+        Some(searched) if min_overhead => searched,
+        _ => goal_period_with(&ctx, spec.goal, &region),
     };
-    PaperPrefix { baselines, stage }
+    let designed = period
+        .map_err(PipelineError::from)
+        .and_then(|period| design_stage_at(&problem, &ctx, spec.goal, period, spec.slack_policy));
+    let stage = match designed {
+        Ok((solution, slots)) => {
+            let wcet_margin = spec.wcet_margin.map(|m| {
+                wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
+                    .expect("a designed period always admits a margin search")
+            });
+            DesignStage::Designed(Box::new(Designed {
+                problem,
+                solution,
+                slots,
+                wcet_margin,
+            }))
+        }
+        Err(PipelineError::Design(_)) => DesignStage::Rejected,
+        Err(PipelineError::Simulation(_)) => DesignStage::SlotsFailed,
+    };
+    DesignPrefix { baselines, stage }
+}
+
+/// Builds a design's schedule and the fault-free part of its trials'
+/// summaries.
+fn validation(
+    spec: &CampaignSpec,
+    designed: &Designed,
+    record_trace: bool,
+    arena: &mut SimArena,
+) -> Result<Validation, SimError> {
+    let schedule = build_schedule(
+        spec,
+        &designed.problem,
+        &designed.slots,
+        record_trace,
+        arena,
+    )?;
+    Ok(Validation {
+        summary: SimSummary::fault_free(
+            &designed.solution,
+            &schedule,
+            &designed.problem.tasks,
+            spec.response_histogram,
+            designed.wcet_margin,
+            spec.latency_curves,
+        ),
+        schedule,
+    })
 }
 
 /// How much of an accepted `DesignAndValidate` trial its caller keeps.
@@ -594,43 +656,10 @@ fn run_trial_inner(
             }),
             None => Arc::new(paper_prefix(spec, scenario, record_trace, arena)),
         };
-        let baselines = prefix.baselines;
-        return match &prefix.stage {
-            PaperStage::ProblemInvalid => (finish(TrialStatus::PartitionFailed, None, None), None),
-            PaperStage::DesignOnly { feasible } => {
-                let status = if *feasible {
-                    TrialStatus::Accepted
-                } else {
-                    TrialStatus::DesignRejected
-                };
-                (finish(status, baselines, None), None)
-            }
-            PaperStage::DesignRejected => {
-                (finish(TrialStatus::DesignRejected, baselines, None), None)
-            }
-            PaperStage::SlotsFailed => {
-                (finish(TrialStatus::SimulationFailed, baselines, None), None)
-            }
-            PaperStage::Designed(designed) => {
-                // Per-trial remainder: fault schedule over the exact
-                // simulation horizon, then its classification.
-                let horizon = validation_horizon(&designed.problem, spec.horizon_hyperperiods);
-                let faults: FaultSchedule =
-                    spec.faults.schedule(&mut rng, Time::from_units(horizon));
-                let _span = validation_span();
-                match &designed.validation {
-                    Some(validation) => {
-                        let full = (detail != Detail::Summary)
-                            .then_some((&designed.solution, &designed.slots));
-                        let summary = validation.summary.clone();
-                        let (sim, outcome) =
-                            classify_trial(&validation.schedule, summary, &faults, full, arena);
-                        (finish(TrialStatus::Accepted, baselines, Some(sim)), outcome)
-                    }
-                    None => (finish(TrialStatus::SimulationFailed, baselines, None), None),
-                }
-            }
-        };
+        let source = ScheduleSource::Shared(prefix.validation.as_ref());
+        let (status, sim, outcome) =
+            finish_design(spec, &prefix.design, source, &mut rng, arena, detail);
+        return (finish(status, prefix.design.baselines, sim), outcome);
     }
 
     // 1. Workload. The RNG is consumed in a fixed order (task set first,
@@ -642,7 +671,7 @@ fn run_trial_inner(
         .generator_config(scenario.utilization.unwrap_or(1.0))
         .expect("synthetic workloads have generator configs");
     ftsched_obs::record(|m| m.generation_cache_requests.incr());
-    let gen_span = ftsched_obs::time(ftsched_obs::Stage::Generation);
+    let gen_span = ftsched_obs::time(Stage::Generation);
     let tasks: Option<TaskSet> = match caches.filter(|c| c.gen.enabled()) {
         Some(c) => {
             let prefix = c.gen.get_or_compute((scenario.workload_point, trial), || {
@@ -665,7 +694,7 @@ fn run_trial_inner(
     //    are still evaluated when partitioning fails.
     let heuristic = scenario.partition_heuristic;
     ftsched_obs::record(|m| m.partition_cache_requests.incr());
-    let partition_span = ftsched_obs::time(ftsched_obs::Stage::Partition);
+    let partition_span = ftsched_obs::time(Stage::Partition);
     let partition: Option<SystemPartition> = match caches.filter(|c| c.partition.enabled()) {
         Some(c) => {
             let key = PartitionKey {
@@ -688,114 +717,58 @@ fn run_trial_inner(
         None => partition_system(&tasks, heuristic).ok(),
     };
     drop(partition_span);
-    let partition = match partition {
-        Some(p) => p,
-        None => {
-            let baselines = spec.compare_baselines.then(|| BaselineVerdicts {
-                flexible: false,
-                static_lockstep: ftsched_design::baseline::static_lockstep_schedulable(
-                    &tasks,
-                    scenario.algorithm,
-                ),
-                static_parallel: ftsched_design::baseline::static_parallel_schedulable(
-                    &tasks,
-                    scenario.algorithm,
-                ),
-                primary_backup: ftsched_design::baseline::primary_backup_schedulable(
-                    &tasks,
-                    scenario.algorithm,
-                ),
-            });
-            return (finish(TrialStatus::PartitionFailed, baselines, None), None);
-        }
+    let Some(partition) = partition else {
+        let baselines = spec.compare_baselines.then(|| {
+            let _span = ftsched_obs::time(Stage::Design);
+            compare_static_schemes(&tasks, scenario.algorithm, false).into()
+        });
+        return (finish(TrialStatus::PartitionFailed, baselines, None), None);
     };
 
-    let problem = match DesignProblem::with_total_overhead(
-        tasks,
-        partition,
-        scenario.overhead,
-        scenario.algorithm,
-    ) {
-        Ok(p) => p,
-        Err(_) => return (finish(TrialStatus::PartitionFailed, None, None), None),
+    // 3. Design, then (for validate trials) the fault schedule over the
+    //    exact simulation horizon and its classification.
+    let prefix = design_prefix(spec, scenario, tasks, partition);
+    let (status, sim, outcome) =
+        finish_design(spec, &prefix, ScheduleSource::Own, &mut rng, arena, detail);
+    (finish(status, prefix.baselines, sim), outcome)
+}
+
+/// The rest of a trial after its design prefix: the status each stage
+/// maps to and, for a designed trial, its fault draw classified against
+/// the design's schedule.
+fn finish_design(
+    spec: &CampaignSpec,
+    prefix: &DesignPrefix,
+    source: ScheduleSource<'_>,
+    rng: &mut StdRng,
+    arena: &mut SimArena,
+    detail: Detail,
+) -> (TrialStatus, Option<SimSummary>, Option<PipelineOutcome>) {
+    let designed = match &prefix.stage {
+        DesignStage::ProblemInvalid => return (TrialStatus::PartitionFailed, None, None),
+        DesignStage::Feasible => return (TrialStatus::Accepted, None, None),
+        DesignStage::Rejected => return (TrialStatus::DesignRejected, None, None),
+        DesignStage::SlotsFailed => return (TrialStatus::SimulationFailed, None, None),
+        DesignStage::Designed(designed) => designed,
     };
-    let region = spec.region_config(&problem);
-    // One point-set enumeration serves the baseline comparison and the
-    // design search alike.
-    let ctx = problem
-        .analysis_context()
-        .expect("a validated problem always yields a context");
-
-    let baselines = spec.compare_baselines.then(|| {
-        let cmp = compare_schemes_with(&problem, &ctx, &region)
-            .expect("compare_schemes is infallible on a validated problem");
-        BaselineVerdicts {
-            flexible: cmp.flexible,
-            static_lockstep: cmp.static_lockstep,
-            static_parallel: cmp.static_parallel,
-            primary_backup: cmp.primary_backup,
-        }
-    });
-
-    match spec.kind {
-        TrialKind::DesignOnly => {
-            let feasible = match &baselines {
-                // `compare_schemes` already answered the feasibility
-                // question; don't sweep the region twice.
-                Some(b) => b.flexible,
-                None => max_feasible_period_with(&ctx, &region).is_ok(),
-            };
-            let status = if feasible {
-                TrialStatus::Accepted
-            } else {
-                TrialStatus::DesignRejected
-            };
-            (finish(status, baselines, None), None)
-        }
-        TrialKind::DesignAndValidate => {
-            // 3. Fault schedule over the exact simulation horizon the
-            //    validation will use.
-            let horizon = validation_horizon(&problem, spec.horizon_hyperperiods);
-            let faults: FaultSchedule = spec.faults.schedule(&mut rng, Time::from_units(horizon));
-            let (solution, slots) =
-                match design_stage_with(&problem, &ctx, spec.goal, &region, spec.slack_policy) {
-                    Ok(designed) => designed,
-                    Err(PipelineError::Design(_)) => {
-                        return (finish(TrialStatus::DesignRejected, baselines, None), None)
-                    }
-                    Err(PipelineError::Simulation(_)) => {
-                        return (finish(TrialStatus::SimulationFailed, baselines, None), None)
-                    }
-                };
-            let validated = {
-                let _span = validation_span();
-                build_schedule(spec, &problem, &slots, record_trace, arena).map(|schedule| {
-                    let summary = SimSummary::fault_free(
-                        &solution,
-                        &schedule,
-                        &problem.tasks,
-                        spec.response_histogram,
-                        None,
-                        spec.latency_curves,
-                    );
-                    let full = (detail != Detail::Summary).then_some((&solution, &slots));
-                    classify_trial(&schedule, summary, &faults, full, arena)
-                })
-            };
-            let Ok((mut sim, outcome)) = validated else {
-                return (finish(TrialStatus::SimulationFailed, baselines, None), None);
-            };
-            // Only accepted trials report a margin, so the search runs
-            // after validation succeeds. It reuses the trial's context:
-            // the point sets were enumerated once, each probe only
-            // rescales W(t).
-            sim.wcet_margin = spec.wcet_margin.map(|m| {
-                wcet_scaling_margin_with(&ctx, solution.period, m.tolerance)
-                    .expect("a designed period always admits a margin search")
-            });
-            (finish(TrialStatus::Accepted, baselines, Some(sim)), outcome)
-        }
-    }
+    let _span = validation_span();
+    let horizon = validation_horizon(&designed.problem, spec.horizon_hyperperiods);
+    let faults: FaultSchedule = spec.faults.schedule(rng, Time::from_units(horizon));
+    let own;
+    let (schedule, summary) = match source {
+        ScheduleSource::Shared(Some(shared)) => (&shared.schedule, shared.summary.clone()),
+        ScheduleSource::Own => match validation(spec, designed, detail == Detail::Traced, arena) {
+            Ok(Validation { schedule, summary }) => {
+                own = schedule;
+                (&own, summary)
+            }
+            Err(_) => return (TrialStatus::SimulationFailed, None, None),
+        },
+        ScheduleSource::Shared(None) => return (TrialStatus::SimulationFailed, None, None),
+    };
+    let full = (detail != Detail::Summary).then_some((&designed.solution, &designed.slots));
+    let (sim, outcome) = classify_trial(schedule, summary, &faults, full, arena);
+    (TrialStatus::Accepted, Some(sim), outcome)
 }
 
 #[cfg(test)]
@@ -833,6 +806,53 @@ mod tests {
         assert!((sim.period - 2.966).abs() < 0.01, "period {}", sim.period);
         assert_eq!(sim.deadline_misses, 0);
         assert!(full.is_some());
+    }
+
+    #[test]
+    fn paper_baselines_leave_the_design_and_outcome_unchanged() {
+        for goal in [
+            DesignGoal::MinimizeOverheadBandwidth,
+            DesignGoal::MaximizeSlackBandwidth,
+        ] {
+            let off = CampaignSpec {
+                workload: WorkloadSpec::Paper,
+                utilizations: vec![],
+                algorithms: vec![Algorithm::EarliestDeadlineFirst, Algorithm::RateMonotonic],
+                // 0.3 exceeds the paper set's admissible overhead.
+                overheads: vec![0.05, 0.3],
+                goal,
+                wcet_margin: Some(crate::spec::WcetMarginSpec { tolerance: 1e-3 }),
+                ..validate_spec()
+            };
+            let on = CampaignSpec {
+                compare_baselines: true,
+                ..off.clone()
+            };
+            let mut rejected = 0;
+            for scenario in &off.scenarios() {
+                for trial in 0..2 {
+                    let (without, full_without) = run_trial_full(&off, scenario, trial);
+                    let (with, full_with) = run_trial_full(&on, scenario, trial);
+                    let verdicts = with.baselines.expect("baselines were requested");
+                    assert_eq!(
+                        verdicts.flexible,
+                        with.status == TrialStatus::Accepted,
+                        "{goal:?}"
+                    );
+                    assert_eq!(
+                        TrialOutcome {
+                            baselines: None,
+                            ..with
+                        },
+                        without,
+                        "{goal:?}"
+                    );
+                    assert_eq!(full_with, full_without, "{goal:?}");
+                    rejected += usize::from(without.status == TrialStatus::DesignRejected);
+                }
+            }
+            assert!(rejected > 0, "the grid exercises the rejection error");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ftsched_design::goals::solve_with;
+use ftsched_design::goals::{goal_period_with, solve_at};
 use ftsched_design::quanta::{distribute_slack, SlackPolicy};
 use ftsched_design::region::RegionConfig;
 use ftsched_design::{DesignError, DesignGoal, DesignProblem, DesignSolution};
@@ -151,7 +151,28 @@ pub fn design_stage_with(
     // stage); the span feeds the design-vs-validate wall-clock split.
     ftsched_obs::record(|m| m.design_stage_runs.incr());
     let _span = ftsched_obs::time(ftsched_obs::Stage::Design);
-    let mut solution = solve_with(problem, ctx, goal, region)?;
+    let period = goal_period_with(ctx, goal, region)?;
+    design_stage_at(problem, ctx, goal, period, slack_policy)
+}
+
+/// The design stage at a `period` the caller already chose for `goal`
+/// (see [`goal_period_with`]): solve, apply the slack policy, build the
+/// slot schedule. It opens no span and counts no run, so a caller that
+/// ran the goal's period search for its own verdict, inside its own
+/// design span, does not search twice.
+///
+/// # Errors
+///
+/// Returns a [`PipelineError`] if the period does not fit or the slot
+/// schedule is inconsistent.
+pub fn design_stage_at(
+    problem: &DesignProblem,
+    ctx: &ftsched_design::AnalysisContext,
+    goal: DesignGoal,
+    period: f64,
+    slack_policy: SlackPolicy,
+) -> Result<(DesignSolution, SlotSchedule), PipelineError> {
+    let mut solution = solve_at(problem, ctx, goal, period)?;
     solution.allocation = distribute_slack(&solution.allocation, slack_policy);
     let slots = slots_from_solution(&solution)?;
     Ok((solution, slots))

@@ -13,25 +13,51 @@
 //!   mode) runs on the single FT channel; schedulability is the plain
 //!   uniprocessor test. Fault requirements are trivially satisfied.
 //! * [`static_parallel_schedulable`] — every task is partitioned over four
-//!   independent processors. Timing is easy, but FT/FS tasks run
+//!   independent processors with worst-fit decreasing, and each processor
+//!   takes the uniprocessor test. Timing is easy, but FT/FS tasks run
 //!   unprotected, so the configuration *violates* their mode requirement;
 //!   it is reported only as a timing upper bound.
 //! * [`primary_backup_schedulable`] — software replication on the
-//!   four-processor parallel platform: FT and FS tasks are duplicated
-//!   (primary + active backup on a different processor) and the whole
-//!   inflated workload is partitioned. This buys detection/recovery at the
-//!   cost of doubled demand for protected tasks.
+//!   four-processor parallel platform: every FT and FS task gets an
+//!   active backup with the same parameters, and the inflated workload is
+//!   partitioned and tested like the static-parallel one. This is a
+//!   timing check of the doubled demand only: nothing keeps a backup off
+//!   its primary's processor.
 //! * [`flexible_scheme_schedulable`] — the paper's scheme: true iff the
 //!   feasible-period region of Eq. 15 is non-empty for the given
 //!   overhead.
+//!
+//! The uniprocessor test is the one of [`edf::schedulable_dedicated`]
+//! (`U ≤ 1`, exact for implicit deadlines, else the processor-demand
+//! criterion up to the capped hyperperiod) and of
+//! [`fp::schedulable_with_supply`] on a dedicated processor (Theorem 1's
+//! scheduling points, walked depth first up to the first point that
+//! passes). The static verdicts evaluate both on plain copies of each
+//! task's `(id, C, T, D)`, in a scratch buffer that lives on the stack
+//! for sets of up to 32 tasks: the scheme never clones a [`Task`], never
+//! builds a [`TaskSet`] or partition, and names no backup. Only the
+//! constrained-deadline EDF test, which no generated workload reaches,
+//! and a point test passing within `1e-12` of its bound run the analysis
+//! crate's own code on unnamed task copies. Every verdict is bit for bit
+//! the one those analysis functions give on the re-labelled task sets
+//! and [`partition_mode`]'s worst-fit partition
+//! (`tests/baseline_equivalence.rs`).
+
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
-use ftsched_analysis::{edf, fp, Algorithm, DedicatedSupply};
-use ftsched_task::{Mode, Task, TaskSet};
+use ftsched_analysis::edf::DEFAULT_HORIZON_CAP;
+use ftsched_analysis::points::{capped_hyperperiod, deadline_set, scheduling_points};
+use ftsched_analysis::workload::{self, edf_demand};
+use ftsched_analysis::Algorithm;
+#[cfg(doc)]
+use ftsched_analysis::{edf, fp};
+use ftsched_task::{Mode, PriorityOrder, Task, TaskId, TaskSet};
 
 use crate::error::DesignError;
-use crate::partitioner::{partition_mode, PartitionHeuristic};
+#[cfg(doc)]
+use crate::partitioner::partition_mode;
 use crate::problem::DesignProblem;
 use crate::region::{max_feasible_period, RegionConfig};
 
@@ -99,22 +125,250 @@ impl BaselineComparison {
     }
 }
 
-/// Uniprocessor schedulability of a task set under the given algorithm on
-/// a dedicated processor.
-fn uniprocessor_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> bool {
-    match algorithm {
-        Algorithm::EarliestDeadlineFirst => edf::schedulable_dedicated(tasks),
-        Algorithm::RateMonotonic | Algorithm::DeadlineMonotonic => fp::schedulable_with_supply(
-            tasks,
-            algorithm.priority_order().expect("fixed priority"),
-            &DedicatedSupply,
-        ),
+/// Channels of the static fully parallel platform (one per processor).
+const PARALLEL_CHANNELS: usize = Mode::NonFaultTolerant.channels();
+
+/// Entries a verdict keeps on the stack; larger sets (more than 32 tasks
+/// once primary/backup doubles them) use one heap buffer instead.
+const INLINE_ENTRIES: usize = 64;
+
+/// The scheduling parameters of one task or replica: everything a static
+/// verdict reads, copied out of the [`Task`] so no name is cloned.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    id: u32,
+    wcet: f64,
+    period: f64,
+    deadline: f64,
+    utilization: f64,
+    /// Processor the worst-fit partition placed the entry on.
+    channel: usize,
+    /// Position in worst-fit order, i.e. in its channel's assignment order.
+    rank: usize,
+}
+
+impl Entry {
+    const EMPTY: Entry = Entry {
+        id: 0,
+        wcet: 0.0,
+        period: 0.0,
+        deadline: 0.0,
+        utilization: 0.0,
+        channel: 0,
+        rank: 0,
+    };
+
+    fn of(task: &Task) -> Entry {
+        Entry {
+            id: task.id.0,
+            wcet: task.wcet,
+            period: task.period,
+            deadline: task.deadline,
+            utilization: task.utilization(),
+            ..Entry::EMPTY
+        }
     }
+
+    /// A task with these parameters and no name.
+    fn unnamed_task(&self) -> Task {
+        Task {
+            id: TaskId(self.id),
+            name: String::new(),
+            wcet: self.wcet,
+            period: self.period,
+            deadline: self.deadline,
+            mode: Mode::NonFaultTolerant,
+        }
+    }
+
+    /// [`Task::has_implicit_deadline`] on the copied parameters.
+    fn has_implicit_deadline(&self) -> bool {
+        (self.deadline - self.period).abs() < f64::EPSILON * self.period.max(1.0)
+    }
+}
+
+/// Runs `f` on a scratch buffer of `len` entries: on the stack up to
+/// [`INLINE_ENTRIES`], else in one heap allocation.
+fn with_entries<R>(len: usize, f: impl FnOnce(&mut [Entry]) -> R) -> R {
+    if len <= INLINE_ENTRIES {
+        f(&mut [Entry::EMPTY; INLINE_ENTRIES][..len])
+    } else {
+        f(&mut vec![Entry::EMPTY; len])
+    }
+}
+
+/// Copies the set's tasks into the front of `scratch`, in set order, and
+/// returns them.
+fn fill<'a>(scratch: &'a mut [Entry], tasks: &TaskSet) -> &'a mut [Entry] {
+    for (slot, task) in scratch.iter_mut().zip(tasks.iter()) {
+        *slot = Entry::of(task);
+    }
+    &mut scratch[..tasks.len()]
+}
+
+/// Copies the set's tasks into the front of `scratch` with one active
+/// replica after every FT and FS task, and returns them. Replica ids
+/// count up from the largest id plus one, in set order.
+fn replicate<'a>(scratch: &'a mut [Entry], tasks: &TaskSet) -> &'a mut [Entry] {
+    let mut next_id = tasks.iter().map(|t| t.id.0).max().unwrap_or(0) + 1;
+    let mut len = 0;
+    for task in tasks.iter() {
+        scratch[len] = Entry::of(task);
+        len += 1;
+        if task.mode != Mode::NonFaultTolerant {
+            scratch[len] = Entry {
+                id: next_id,
+                ..Entry::of(task)
+            };
+            next_id += 1;
+            len += 1;
+        }
+    }
+    &mut scratch[..len]
+}
+
+/// Uniprocessor schedulability of `tasks` on a dedicated processor, as
+/// [`edf::schedulable_dedicated`] and [`fp::schedulable_with_supply`] with
+/// a [`DedicatedSupply`](ftsched_analysis::DedicatedSupply) decide it.
+/// `utilization` is the set's utilisation summed in the order of `tasks`,
+/// which EDF also keeps; fixed priorities sort `tasks` in place.
+fn uniprocessor_schedulable(tasks: &mut [Entry], utilization: f64, algorithm: Algorithm) -> bool {
+    if tasks.is_empty() {
+        return true;
+    }
+    if utilization > 1.0 + 1e-12 {
+        return false;
+    }
+    match algorithm {
+        Algorithm::EarliestDeadlineFirst => {
+            // Liu & Layland: with implicit deadlines U ≤ 1 is exact.
+            tasks.iter().all(Entry::has_implicit_deadline) || edf_demand_schedulable(tasks)
+        }
+        Algorithm::RateMonotonic | Algorithm::DeadlineMonotonic => {
+            let order = algorithm.priority_order().expect("fixed priority");
+            tasks.sort_unstable_by(|a, b| priority_cmp(order, a, b));
+            (0..tasks.len()).all(|i| point_test(&tasks[i], &tasks[..i]))
+        }
+    }
+}
+
+/// [`TaskSet::sorted_by_priority`]'s order: by period (RM) or deadline
+/// (DM), then by id. Ids are unique, so an unstable sort gives the same
+/// order as the stable one.
+fn priority_cmp(order: PriorityOrder, a: &Entry, b: &Entry) -> Ordering {
+    let (x, y) = match order {
+        PriorityOrder::RateMonotonic => (a.period, b.period),
+        PriorityOrder::DeadlineMonotonic => (a.deadline, b.deadline),
+    };
+    x.partial_cmp(&y)
+        .expect("validated parameters are finite")
+        .then(a.id.cmp(&b.id))
+}
+
+/// The processor-demand criterion `W(t) ≤ t` at every absolute deadline
+/// up to the capped hyperperiod, as [`edf::schedulable_dedicated`]
+/// checks it. Only constrained deadlines reach it (no generated workload
+/// has them), so it runs the analysis crate's own point set and demand
+/// on unnamed copies of the tasks.
+fn edf_demand_schedulable(tasks: &[Entry]) -> bool {
+    let tasks: Vec<Task> = tasks.iter().map(Entry::unnamed_task).collect();
+    let horizon = capped_hyperperiod(&tasks, DEFAULT_HORIZON_CAP);
+    deadline_set(&tasks, horizon)
+        .iter()
+        .all(|&t| edf_demand(&tasks, t) <= t + 1e-9)
+}
+
+/// Theorem 1 on a dedicated processor for one task: some scheduling
+/// point `t` has `W_i(t) ≤ t + 1e-9`.
+///
+/// The Bini–Buttazzo recursion is walked depth first and stops at the
+/// first point that passes. [`scheduling_points`] merges points
+/// less than `1e-12` apart before testing, and a raw point may pass where
+/// the merged one just below it fails only if `W_i` lies within about
+/// `1e-12` of the bound. Such a marginal pass is settled on the merged set.
+fn point_test(task: &Entry, hp: &[Entry]) -> bool {
+    let mut marginal = false;
+    walk_points(task, hp, task.deadline, hp.len(), &mut marginal)
+        || (marginal && merged_point_test(task, hp))
+}
+
+/// `P_level(t)` of the recursion, in [`scheduling_points`]'s
+/// enumeration order. True at the first point passing with `1e-12` to
+/// spare, below which a merged neighbour passes as well (`W_i` is
+/// non-decreasing); `marginal` records any other pass.
+fn walk_points(task: &Entry, hp: &[Entry], t: f64, level: usize, marginal: &mut bool) -> bool {
+    if level == 0 {
+        let w = fp_workload(task, hp, t);
+        *marginal |= w <= t + 1e-9;
+        return w <= (t - 1e-12) + 1e-9;
+    }
+    let tj = hp[level - 1].period;
+    let floored = (t / tj).floor() * tj;
+    walk_points(task, hp, t, level - 1, marginal)
+        || (floored < t && floored > 0.0 && walk_points(task, hp, floored, level - 1, marginal))
+}
+
+/// The point test over [`scheduling_points`]' sorted, merged set, on
+/// unnamed copies of the tasks.
+fn merged_point_test(task: &Entry, hp: &[Entry]) -> bool {
+    let hp: Vec<Task> = hp.iter().map(Entry::unnamed_task).collect();
+    let task = task.unnamed_task();
+    scheduling_points(task.deadline, &hp)
+        .iter()
+        .any(|&t| workload::fp_workload(&task, &hp, t) <= t + 1e-9)
+}
+
+/// [`fp_workload`](ftsched_analysis::workload::fp_workload) on entries:
+/// `W_i(t) = C_i + Σ_{j ∈ hp(i)} ⌈t / T_j⌉ C_j`, summed in priority order.
+fn fp_workload(task: &Entry, hp: &[Entry], t: f64) -> f64 {
+    let mut w = task.wcet;
+    for h in hp {
+        w += (t / h.period).ceil() * h.wcet;
+    }
+    w
+}
+
+/// Worst-fit decreasing onto the four processors, then the uniprocessor
+/// test per processor; the order of `entries` is consumed.
+///
+/// The partition is [`partition_mode`]'s: utilisation descending, then
+/// id; each entry goes to the least-loaded processor it fits on
+/// (`load + u ≤ 1 + 1e-9`), the first one on a tie. A processor's
+/// utilisation is its load, summed in assignment order.
+fn partitioned_schedulable(entries: &mut [Entry], algorithm: Algorithm) -> bool {
+    entries.sort_unstable_by(|a, b| {
+        b.utilization
+            .partial_cmp(&a.utilization)
+            .expect("utilisations are finite")
+            .then(a.id.cmp(&b.id))
+    });
+    let mut load = [0.0_f64; PARALLEL_CHANNELS];
+    for (rank, entry) in entries.iter_mut().enumerate() {
+        let u = entry.utilization;
+        let mut chosen: Option<usize> = None;
+        for c in 0..PARALLEL_CHANNELS {
+            if load[c] + u <= 1.0 + 1e-9 && chosen.is_none_or(|best| load[c] < load[best]) {
+                chosen = Some(c);
+            }
+        }
+        let Some(c) = chosen else {
+            return false;
+        };
+        load[c] += u;
+        entry.channel = c;
+        entry.rank = rank;
+    }
+    // Group by processor: EDF keeps assignment order, fixed priorities
+    // sort each group again anyway.
+    entries.sort_unstable_by_key(|e| (e.channel, e.rank));
+    entries
+        .chunk_by_mut(|a, b| a.channel == b.channel)
+        .all(|channel| uniprocessor_schedulable(channel, load[channel[0].channel], algorithm))
 }
 
 /// Static all-FT lock-step: all tasks on the single fault-tolerant channel.
 pub fn static_lockstep_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> bool {
-    uniprocessor_schedulable(tasks, algorithm)
+    with_entries(tasks.len(), |entries| lockstep(entries, tasks, algorithm))
 }
 
 /// Static fully parallel platform: tasks partitioned (worst-fit
@@ -122,32 +376,7 @@ pub fn static_lockstep_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> boo
 /// processor. Mode requirements are ignored — the caller decides how to
 /// interpret that.
 pub fn static_parallel_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> bool {
-    // Re-label every task as NF so the NF partitioner (4 channels) takes all
-    // of them, then run the per-processor uniprocessor test.
-    let relabelled: Vec<Task> = tasks
-        .iter()
-        .map(|t| {
-            let mut c = t.clone();
-            c.mode = Mode::NonFaultTolerant;
-            c
-        })
-        .collect();
-    let Ok(relabelled) = TaskSet::new(relabelled) else {
-        return false;
-    };
-    let Ok(partition) = partition_mode(
-        &relabelled,
-        Mode::NonFaultTolerant,
-        PartitionHeuristic::WorstFitDecreasing,
-    ) else {
-        return false;
-    };
-    let Ok(channels) = partition.channel_task_sets(&relabelled) else {
-        return false;
-    };
-    channels
-        .iter()
-        .all(|c| uniprocessor_schedulable(c, algorithm))
+    with_entries(tasks.len(), |entries| parallel(entries, tasks, algorithm))
 }
 
 /// Software primary/backup on four parallel processors: FT and FS tasks
@@ -155,44 +384,41 @@ pub fn static_parallel_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> boo
 /// and deadline), the inflated task set is partitioned over the four
 /// processors, and every processor must pass the uniprocessor test.
 ///
-/// The replica is forced onto a *different* processor than its primary by
-/// construction: primaries and backups are partitioned as independent
-/// tasks and the worst-fit heuristic spreads identical utilisations, but
-/// correctness here only requires the timing analysis — spatial separation
-/// is checked and enforced by re-partitioning with the replica pinned away
-/// from its primary when they collide.
+/// This is a timing-only check. Primaries and backups are partitioned as
+/// independent tasks, and nothing keeps a backup off its primary's
+/// processor, so an accepted set may place both on one processor, where
+/// a single fault hits both.
 pub fn primary_backup_schedulable(tasks: &TaskSet, algorithm: Algorithm) -> bool {
-    let mut inflated: Vec<Task> = Vec::with_capacity(tasks.len() * 2);
-    let mut next_id = tasks.iter().map(|t| t.id.0).max().unwrap_or(0) + 1;
-    for t in tasks.iter() {
-        let mut primary = t.clone();
-        primary.mode = Mode::NonFaultTolerant;
-        inflated.push(primary);
-        if t.mode != Mode::NonFaultTolerant {
-            let mut backup = t.clone();
-            backup.id = ftsched_task::TaskId(next_id);
-            backup.name = format!("{}-backup", t.name);
-            backup.mode = Mode::NonFaultTolerant;
-            next_id += 1;
-            inflated.push(backup);
-        }
-    }
-    let Ok(inflated) = TaskSet::new(inflated) else {
-        return false;
-    };
-    let Ok(partition) = partition_mode(
-        &inflated,
-        Mode::NonFaultTolerant,
-        PartitionHeuristic::WorstFitDecreasing,
-    ) else {
-        return false;
-    };
-    let Ok(channels) = partition.channel_task_sets(&inflated) else {
-        return false;
-    };
-    channels
-        .iter()
-        .all(|c| uniprocessor_schedulable(c, algorithm))
+    with_entries(2 * tasks.len(), |entries| {
+        primary_backup(entries, tasks, algorithm)
+    })
+}
+
+/// The three static verdicts on one task set next to the given flexible
+/// verdict, sharing one scratch buffer.
+pub fn compare_static_schemes(
+    tasks: &TaskSet,
+    algorithm: Algorithm,
+    flexible: bool,
+) -> BaselineComparison {
+    with_entries(2 * tasks.len(), |entries| BaselineComparison {
+        flexible,
+        static_lockstep: lockstep(entries, tasks, algorithm),
+        static_parallel: parallel(entries, tasks, algorithm),
+        primary_backup: primary_backup(entries, tasks, algorithm),
+    })
+}
+
+fn lockstep(scratch: &mut [Entry], tasks: &TaskSet, algorithm: Algorithm) -> bool {
+    uniprocessor_schedulable(fill(scratch, tasks), tasks.utilization(), algorithm)
+}
+
+fn parallel(scratch: &mut [Entry], tasks: &TaskSet, algorithm: Algorithm) -> bool {
+    partitioned_schedulable(fill(scratch, tasks), algorithm)
+}
+
+fn primary_backup(scratch: &mut [Entry], tasks: &TaskSet, algorithm: Algorithm) -> bool {
+    partitioned_schedulable(replicate(scratch, tasks), algorithm)
 }
 
 /// The paper's flexible scheme: schedulable iff a feasible period exists
@@ -226,12 +452,12 @@ pub fn compare_schemes_with(
     ctx: &crate::context::AnalysisContext,
     config: &RegionConfig,
 ) -> Result<BaselineComparison, DesignError> {
-    Ok(BaselineComparison {
-        flexible: crate::region::max_feasible_period_with(ctx, config).is_ok(),
-        static_lockstep: static_lockstep_schedulable(&problem.tasks, problem.algorithm),
-        static_parallel: static_parallel_schedulable(&problem.tasks, problem.algorithm),
-        primary_backup: primary_backup_schedulable(&problem.tasks, problem.algorithm),
-    })
+    let flexible = crate::region::max_feasible_period_with(ctx, config).is_ok();
+    Ok(compare_static_schemes(
+        &problem.tasks,
+        problem.algorithm,
+        flexible,
+    ))
 }
 
 #[cfg(test)]

@@ -63,11 +63,42 @@ pub fn solve_with(
     goal: DesignGoal,
     config: &RegionConfig,
 ) -> Result<DesignSolution, DesignError> {
-    let period = match goal {
+    solve_at(problem, ctx, goal, goal_period_with(ctx, goal, config)?)
+}
+
+/// The period `goal` selects: the largest feasible period
+/// ([`max_feasible_period_with`]), the slack-ratio argmax or the fixed
+/// period.
+///
+/// # Errors
+///
+/// [`DesignError::NoFeasiblePeriod`] when the search finds no feasible
+/// period.
+pub fn goal_period_with(
+    ctx: &AnalysisContext,
+    goal: DesignGoal,
+    config: &RegionConfig,
+) -> Result<f64, DesignError> {
+    Ok(match goal {
         DesignGoal::MinimizeOverheadBandwidth => max_feasible_period_with(ctx, config)?,
         DesignGoal::MaximizeSlackBandwidth => max_slack_ratio_period_with(ctx, config)?.period,
         DesignGoal::FixedPeriod(p) => p,
-    };
+    })
+}
+
+/// The solution for `goal` at a `period` already chosen for it (by
+/// [`goal_period_with`], or by a caller that ran the same search for
+/// another purpose): the minimum allocation of Eq. 12–14 at that period.
+///
+/// # Errors
+///
+/// [`DesignError::InfeasiblePeriod`] when the period does not fit.
+pub fn solve_at(
+    problem: &DesignProblem,
+    ctx: &AnalysisContext,
+    goal: DesignGoal,
+    period: f64,
+) -> Result<DesignSolution, DesignError> {
     let allocation = ctx.minimum_allocation(period)?;
     DesignSolution::new(problem, goal, allocation)
 }

@@ -110,6 +110,19 @@ fn grid_sweep_example_is_byte_identical_to_pre_latency_binary() {
     check_post_axis_example("grid_sweep");
 }
 
+/// Pins the baseline verdicts next to a searched design: RM and EDF
+/// point tests, the static verdicts on unpartitionable sets, the flexible
+/// verdict shared with the `MinimizeOverheadBandwidth` search and the
+/// WCET margin. The goldens come from the binary before the static
+/// verdicts stopped building task sets.
+#[test]
+fn baseline_design_example_is_byte_identical_to_task_set_baseline_binary() {
+    let report = check_against_goldens("baseline_design", "task-set-baseline");
+    let spec = &report.spec;
+    assert!(spec.compare_baselines && spec.wcet_margin.is_some());
+    assert!(spec.has_overhead_axis() && spec.has_heuristic_axis());
+}
+
 #[test]
 fn golden_reports_parse_under_the_widened_schema() {
     // A report written by the pre-axis binary still deserialises (the
@@ -118,6 +131,7 @@ fn golden_reports_parse_under_the_widened_schema() {
     for name in [
         "acceptance_ratio",
         "baseline_comparison",
+        "baseline_design",
         "fault_injection",
         "grid_sweep",
     ] {
