@@ -57,15 +57,6 @@ impl ExperimentOptions {
         }
         options
     }
-
-    /// Scales a campaign size down when `--fast` is set.
-    pub fn scaled(&self, full: usize, fast: usize) -> usize {
-        if self.fast {
-            fast
-        } else {
-            full
-        }
-    }
 }
 
 /// The paper's design problem under EDF (Table 1 task set, §4 partition,
@@ -95,8 +86,6 @@ mod tests {
         let o = ExperimentOptions::default();
         assert_eq!(o.seed, 2007);
         assert!(!o.fast);
-        assert_eq!(o.scaled(100, 5), 100);
-        assert_eq!(ExperimentOptions { fast: true, ..o }.scaled(100, 5), 5);
     }
 
     #[test]

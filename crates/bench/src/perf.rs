@@ -248,105 +248,6 @@ fn entry(entries: &mut Vec<BenchEntry>, name: impl Into<String>, quick: bool, f:
     });
 }
 
-/// A task set whose WCETs sit exactly on a power-of-two grid, so the SoA
-/// rescale's quantised integer fast path is live. (Campaign generators
-/// draw full-mantissa WCETs, which take the scalar fallback — the
-/// bit-identity sweep below covers that path with a non-dyadic λ.)
-fn dyadic_set(n: usize) -> TaskSet {
-    // Non-harmonic periods keep the FP scheduling-point sets and the
-    // EDF deadline set rich (harmonic grids collapse them to a handful
-    // of instants); only the WCETs need to be dyadic for the integer
-    // grid.
-    let periods = [400.0, 600.0, 700.0, 900.0, 1100.0, 1300.0, 1700.0, 1900.0];
-    let wcets = [0.25, 0.5, 0.125, 0.375, 0.75, 0.0625, 0.3125, 0.875];
-    let tasks = (0..n)
-        .map(|i| {
-            ftsched_task::Task::implicit_deadline(
-                i as u32 + 1,
-                wcets[i % wcets.len()],
-                periods[i % periods.len()],
-                Mode::NonFaultTolerant,
-            )
-            .unwrap()
-        })
-        .collect();
-    TaskSet::new(tasks).unwrap()
-}
-
-/// Benchmarks the parametric rescale in isolation: the pre-SoA fold
-/// (per-probe WCET allocation + grouped cursor walk, preserved as
-/// `MinQSweep::rescale_into_reference`) against the SoA span kernel with
-/// its quantised integer fast path. The λ grid uses dyadic sixteenths so
-/// the scaled WCETs stay on the power-of-two grid; the bit-identity
-/// sweep additionally probes a non-dyadic λ to pin the scalar fallback.
-/// Emitted into the minq report only.
-fn push_rescale_entries(
-    entries: &mut Vec<BenchEntry>,
-    derived: &mut Vec<DerivedMetric>,
-    quick: bool,
-) {
-    let set = dyadic_set(64);
-    let lambdas: Vec<f64> = (1..=16).map(|i| 1.0 + i as f64 / 16.0).collect();
-    let mut identical = true;
-    let mut min_speedup = f64::INFINITY;
-    for alg in [Algorithm::EarliestDeadlineFirst, Algorithm::RateMonotonic] {
-        let base = MinQSweep::new(&set, alg).unwrap();
-        let mut out = base.clone();
-        let mut out_ref = base.clone();
-        for &l in lambdas.iter().chain(std::iter::once(&2.7)) {
-            base.rescale_into(l, &mut out);
-            base.rescale_into_reference(l, &mut out_ref);
-            identical &= out == out_ref;
-            for p in [0.4, 0.9, 1.7, 2.966] {
-                let a = out.min_quantum_at(p).unwrap();
-                let b = out_ref.min_quantum_at(p).unwrap();
-                identical &= a.quantum.to_bits() == b.quantum.to_bits()
-                    && a.binding_instant.to_bits() == b.binding_instant.to_bits();
-            }
-        }
-        entry(
-            entries,
-            format!("rescale_reference/{}/dyadic64", alg.label()),
-            quick,
-            || {
-                // black_box inside the loop: every λ's rescale must be
-                // materialised, not just the last overwrite.
-                for &l in &lambdas {
-                    base.rescale_into_reference(std::hint::black_box(l), &mut out_ref);
-                    std::hint::black_box(&out_ref);
-                }
-            },
-        );
-        entry(
-            entries,
-            format!("rescale_soa/{}/dyadic64", alg.label()),
-            quick,
-            || {
-                for &l in &lambdas {
-                    base.rescale_into(std::hint::black_box(l), &mut out);
-                    std::hint::black_box(&out);
-                }
-            },
-        );
-        let reference = entries[entries.len() - 2].ns_per_iter;
-        let soa = entries[entries.len() - 1].ns_per_iter;
-        let speedup = reference / soa.max(1.0);
-        min_speedup = min_speedup.min(speedup);
-        derived.push(DerivedMetric {
-            name: format!("rescale_speedup/{}/dyadic64", alg.label()),
-            value: speedup,
-        });
-    }
-    derived.push(DerivedMetric {
-        name: "rescale_speedup/min".into(),
-        value: min_speedup,
-    });
-    derived.push(DerivedMetric {
-        name: "rescale_matches_reference_bitwise".into(),
-        value: if identical { 1.0 } else { 0.0 },
-    });
-}
-
 fn mode_sets() -> Vec<(&'static str, TaskSet)> {
     let tasks = paper_taskset();
     vec![
@@ -524,8 +425,6 @@ pub fn run_minq_bench(quick: bool) -> BenchReport {
         value: if identical { 1.0 } else { 0.0 },
     });
 
-    push_rescale_entries(&mut entries, &mut speedups, quick);
-
     BenchReport {
         bench: "minq".into(),
         quick,
@@ -579,8 +478,8 @@ fn synthetic_problem(algorithm: Algorithm) -> DesignProblem {
 }
 
 /// Benchmarks the WCET-sensitivity search: margin curves over a period
-/// grid, rebuild-per-probe baseline vs the parametric
-/// [`ScaledContext`](ftsched_design::ScaledContext) rescale, plus a
+/// grid, rebuild-per-probe baseline vs the parametric in-place
+/// [`AnalysisContext::rescale_into`], plus a
 /// bitwise equivalence check of every margin on the grid.
 pub fn run_sensitivity_bench(quick: bool) -> BenchReport {
     let tolerance = 1e-3;
@@ -688,26 +587,6 @@ pub fn check_sensitivity_contract(report: &BenchReport) -> Result<(), String> {
     if min_speedup < threshold {
         return Err(format!(
             "sensitivity speedup regressed to {min_speedup:.2}x (contract: >= {threshold}x)"
-        ));
-    }
-    Ok(())
-}
-
-/// The rescale gate of the minq contract: the SoA span kernel must
-/// stay bit-identical to the preserved pre-SoA fold and at least 1.5×
-/// faster at the full budget (1.1× under the quick budget, which times
-/// millisecond batches on possibly contended CI runners).
-fn check_rescale_gate(report: &BenchReport) -> Result<(), String> {
-    if report.derived("rescale_matches_reference_bitwise") != Some(1.0) {
-        return Err("SoA rescale diverged bitwise from the pre-SoA reference fold".into());
-    }
-    let min_speedup = report
-        .derived("rescale_speedup/min")
-        .ok_or("missing rescale_speedup/min")?;
-    let threshold = if report.quick { 1.1 } else { 1.5 };
-    if min_speedup < threshold {
-        return Err(format!(
-            "rescale speedup regressed to {min_speedup:.2}x (contract: >= {threshold}x)"
         ));
     }
     Ok(())
@@ -1289,7 +1168,7 @@ pub fn check_minq_contract(report: &BenchReport) -> Result<(), String> {
             "grid sweep speedup regressed to {min_speedup:.2}x (contract: >= {threshold}x)"
         ));
     }
-    check_rescale_gate(report)
+    Ok(())
 }
 
 #[cfg(test)]

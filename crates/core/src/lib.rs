@@ -72,7 +72,7 @@ pub mod prelude {
             max_total_overhead_at_period, mode_bandwidth_margin, wcet_margin_curve,
             wcet_scaling_margin, wcet_scaling_margin_with,
         },
-        AnalysisContext, DesignGoal, DesignProblem, DesignSolution, ScaledContext,
+        AnalysisContext, DesignGoal, DesignProblem, DesignSolution,
     };
     pub use ftsched_platform::{
         classify_outcome, Fault, FaultInjector, FaultModel, FaultSchedule, JobOutcome, Platform,

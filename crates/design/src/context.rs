@@ -118,9 +118,9 @@ impl AnalysisContext {
     /// the problem or re-enumerating a single scheduling point. The
     /// `lambda = 1` context is bit-identical to `self`.
     ///
-    /// Probing many factors (a sensitivity bisection) should reuse a
-    /// [`ScaledContext`] scratch instead, which makes every probe
-    /// allocation-free.
+    /// Probing many factors (a sensitivity bisection) should rescale one
+    /// scratch clone with [`Self::rescale_into`] instead, which makes
+    /// every probe allocation-free.
     ///
     /// # Panics
     ///
@@ -134,8 +134,9 @@ impl AnalysisContext {
     }
 
     /// [`Self::scaled`] into an existing context, reusing its point
-    /// allocations (no allocation once `out` shares this context's
-    /// enumerations — see [`ScaledContext`]).
+    /// allocations: once `out` is a clone of `self` (and so shares its
+    /// enumerations), a rescale allocates nothing and re-enumerates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -172,44 +173,6 @@ impl AnalysisContext {
             slots,
             slack: slack.max(0.0),
         })
-    }
-}
-
-/// A reusable scratch context for WCET-scaling probes.
-///
-/// The WCET-sensitivity searches of [`crate::sensitivity`] evaluate the
-/// same problem at dozens of inflation factors `λ`. Each probe only
-/// changes the workload sums `W(t)`, so the scratch holds one clone of
-/// the base context and [`ScaledContext::rescale`] rewrites its load
-/// vectors in place: after construction, probing a factor allocates
-/// nothing and re-enumerates nothing.
-#[derive(Debug, Clone)]
-pub struct ScaledContext {
-    ctx: AnalysisContext,
-}
-
-impl ScaledContext {
-    /// A scratch seeded from (and sharing the enumerations of) `base`.
-    pub fn new(base: &AnalysisContext) -> Self {
-        ScaledContext { ctx: base.clone() }
-    }
-
-    /// Rewrites the scratch to `base.scaled(lambda)` and returns it for
-    /// evaluation. Bit-identical to [`AnalysisContext::scaled`];
-    /// allocation-free when `base` is the context the scratch was seeded
-    /// from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not finite and positive.
-    pub fn rescale(&mut self, base: &AnalysisContext, lambda: f64) -> &AnalysisContext {
-        base.rescale_into(lambda, &mut self.ctx);
-        &self.ctx
-    }
-
-    /// The context as last rescaled.
-    pub fn context(&self) -> &AnalysisContext {
-        &self.ctx
     }
 }
 
@@ -276,8 +239,13 @@ mod tests {
         for alg in Algorithm::ALL {
             let p = paper_problem(alg);
             let ctx = AnalysisContext::new(&p).unwrap();
-            for lambda in [1.0, 1.05, 1.2, 2.0] {
+            // One scratch clone, rescaled in place at every factor (in no
+            // particular order), must equal the freshly scaled context.
+            let mut scratch = ctx.clone();
+            for lambda in [1.05, 1.0, 2.0, 1.2, 3.0] {
                 let scaled = ctx.scaled(lambda);
+                ctx.rescale_into(lambda, &mut scratch);
+                assert_eq!(scratch, scaled, "{alg} λ={lambda}");
                 let rebuilt = AnalysisContext::new(&scale_wcets(&p, lambda).unwrap()).unwrap();
                 for i in 1..=30 {
                     let period = i as f64 * 0.1;
@@ -294,18 +262,6 @@ mod tests {
             }
             // λ = 1 is the exact identity.
             assert_eq!(ctx.scaled(1.0), ctx);
-        }
-    }
-
-    #[test]
-    fn scaled_scratch_is_bit_identical_to_scaled() {
-        let p = paper_problem(Algorithm::EarliestDeadlineFirst);
-        let ctx = AnalysisContext::new(&p).unwrap();
-        let mut scratch = ScaledContext::new(&ctx);
-        for lambda in [1.5, 1.0, 3.0, 1.01] {
-            let via_scratch = scratch.rescale(&ctx, lambda);
-            assert_eq!(via_scratch, &ctx.scaled(lambda));
-            assert_eq!(scratch.context(), &ctx.scaled(lambda));
         }
     }
 }

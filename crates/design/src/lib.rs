@@ -55,7 +55,7 @@ pub mod report;
 pub mod sensitivity;
 pub mod solution;
 
-pub use context::{AnalysisContext, ScaledContext};
+pub use context::AnalysisContext;
 pub use error::DesignError;
 pub use goals::DesignGoal;
 pub use problem::DesignProblem;

@@ -16,14 +16,14 @@
 //! The WCET searches are built on the parametric kernel: the scheduling
 //! points / deadline sets are WCET-independent, so one
 //! [`AnalysisContext`] is enumerated per problem and every probe of an
-//! inflation factor `λ` merely rewrites the workload sums through a
-//! [`ScaledContext`] scratch — no problem clone, no re-validation, no
-//! re-enumeration, identical results to the historical
+//! inflation factor `λ` merely rewrites the workload sums of one scratch
+//! clone of it ([`AnalysisContext::rescale_into`]) — no problem clone, no
+//! re-validation, no re-enumeration, identical results to the historical
 //! rebuild-per-probe search bit for bit.
 
 use ftsched_task::{PerMode, Task, TaskSet};
 
-use crate::context::{AnalysisContext, ScaledContext};
+use crate::context::AnalysisContext;
 use crate::error::DesignError;
 use crate::problem::DesignProblem;
 
@@ -81,7 +81,7 @@ pub fn wcet_scaling_margin_with(
     period: f64,
     tolerance: f64,
 ) -> Result<f64, DesignError> {
-    let mut scratch = ScaledContext::new(ctx);
+    let mut scratch = ctx.clone();
     margin_with_scratch(ctx, &mut scratch, period, tolerance)
 }
 
@@ -125,11 +125,11 @@ pub fn margin_search<E>(
     Ok(lo)
 }
 
-/// The margin search proper, over a caller-owned scratch so period grids
-/// reuse one allocation for every probe of every period.
+/// The margin search proper, over a caller-owned scratch clone of `ctx`
+/// so period grids reuse one allocation for every probe of every period.
 fn margin_with_scratch(
     ctx: &AnalysisContext,
-    scratch: &mut ScaledContext,
+    scratch: &mut AnalysisContext,
     period: f64,
     tolerance: f64,
 ) -> Result<f64, DesignError> {
@@ -137,10 +137,13 @@ fn margin_with_scratch(
     // depend on them: rescale the shared context in place and evaluate
     // at the single period under test.
     margin_search(
-        |factor| match scratch.rescale(ctx, factor).minimum_allocation(period) {
-            Ok(_) => Ok(true),
-            Err(DesignError::InfeasiblePeriod { .. }) => Ok(false),
-            Err(e) => Err(e),
+        |factor| {
+            ctx.rescale_into(factor, scratch);
+            match scratch.minimum_allocation(period) {
+                Ok(_) => Ok(true),
+                Err(DesignError::InfeasiblePeriod { .. }) => Ok(false),
+                Err(e) => Err(e),
+            }
         },
         tolerance,
     )
@@ -161,7 +164,7 @@ pub fn wcet_margin_curve(
     tolerance: f64,
 ) -> Result<Vec<f64>, DesignError> {
     let ctx = problem.analysis_context()?;
-    let mut scratch = ScaledContext::new(&ctx);
+    let mut scratch = ctx.clone();
     periods
         .iter()
         .map(|&period| margin_with_scratch(&ctx, &mut scratch, period, tolerance))

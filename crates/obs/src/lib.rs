@@ -817,11 +817,13 @@ counters! {
         sweep_builds: Counter,
         /// `MinQSweep::rescale_into` reuses of an existing enumeration.
         sweep_rescales: Counter,
-        /// Rescales served by the integer quantised fast path (all
-        /// scaled WCETs exactly representable on a shared power-of-two
-        /// grid).
+        /// Always zero: the integer rescale tier it counted is gone. It
+        /// stays declared because the benchmark's replay still reads it
+        /// (its `analysis.rescale.quantised_frac` metric), and goes
+        /// together with that metric.
         sweep_rescales_quantised: Counter,
-        /// Rescales served by the sequential f64 fallback fold.
+        /// Rescales through the sequential f64 fold, which serves every
+        /// rescale: equal to `sweep_rescales`.
         sweep_rescales_scalar: Counter,
         /// Evaluations of the Eq. 15 curve `f(P)` made by the design
         /// layer's period searches (last feasible period, peak, slack

@@ -146,57 +146,79 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The parametric sweep kernel: `with_scaled_wcets(λ)` must match a
-    /// from-scratch `MinQSweep` built over the `scale_wcets`-style scaled
-    /// task set (WCETs multiplied by λ, clamped at the deadline) — to
-    /// ≤ 1e-12 relative error for any λ, and **bit-identical** at λ = 1.
-    /// `rescale_into` must agree with `with_scaled_wcets` exactly.
+    /// The parametric sweep kernel: `with_scaled_wcets(λ)` and
+    /// `rescale_into` must be **bit-identical** to a from-scratch
+    /// `MinQSweep` built over the `scale_wcets`-style scaled task set
+    /// (WCETs multiplied by λ, clamped at the deadline), at every λ.
+    ///
+    /// The inputs cover full-mantissa and dyadic WCETs (on a 1/64 grid),
+    /// and four λ families: a 0.1 grid on [1, 8], dyadic sixteenths on
+    /// [1, 8], non-dyadic thirds on [1, 8], and integers on [8, 64] that
+    /// clamp WCETs at their deadlines.
     #[test]
     fn scaled_sweep_matches_a_from_scratch_rebuild(
         tasks in arb_taskset(),
+        dyadic_wcets in 0usize..2,
         alg_idx in 0usize..3,
-        lambda_steps in 0u32..=70,
-        period_tenths in 2u32..40,
+        lambda_family in 0usize..4,
+        lambda_steps in 0u32..=112,
     ) {
         use ftsched_analysis::MinQSweep;
         let alg = Algorithm::ALL[alg_idx];
-        // λ ∈ [1, 8] on a 0.1 grid, including the exact identity λ = 1.
-        let lambda = 1.0 + f64::from(lambda_steps) * 0.1;
-        let period = f64::from(period_tenths) / 10.0;
+        let tasks = if dyadic_wcets == 1 {
+            rebuild_with_wcets(&tasks, |t| (t.wcet * 64.0).round() / 64.0)
+        } else {
+            tasks
+        };
+        let lambda = match lambda_family {
+            0 => 1.0 + f64::from(lambda_steps % 71) * 0.1,
+            1 => 1.0 + f64::from(lambda_steps) / 16.0,
+            2 => 1.0 + f64::from(lambda_steps % 22) / 3.0,
+            _ => 8.0 + f64::from(lambda_steps % 57),
+        };
 
         let base = MinQSweep::new(&tasks, alg).unwrap();
         let scaled = base.with_scaled_wcets(lambda);
         let mut scratch = base.clone();
         base.rescale_into(lambda, &mut scratch);
 
-        let rebuilt_set = TaskSet::new(
-            tasks
-                .iter()
-                .map(|t| {
-                    let mut clone = t.clone();
-                    clone.wcet = (t.wcet * lambda).min(clone.deadline);
-                    clone
-                })
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let rebuilt_set = rebuild_with_wcets(&tasks, |t| (t.wcet * lambda).min(t.deadline));
         let rebuilt = MinQSweep::new(&rebuilt_set, alg).unwrap();
 
-        let a = scaled.min_quantum_at(period).unwrap();
-        let b = rebuilt.min_quantum_at(period).unwrap();
-        let c = scratch.min_quantum_at(period).unwrap();
-
-        let rel = (a.quantum - b.quantum).abs() / b.quantum.abs().max(1e-300);
-        prop_assert!(rel <= 1e-12, "λ={lambda} P={period}: {} vs {}", a.quantum, b.quantum);
-        prop_assert_eq!(a.binding_instant.to_bits(), b.binding_instant.to_bits());
-        prop_assert_eq!(a.quantum.to_bits(), c.quantum.to_bits());
+        prop_assert!(scaled == scratch, "rescale_into must equal with_scaled_wcets");
+        prop_assert_eq!(scaled.magnitude().to_bits(), rebuilt.magnitude().to_bits());
+        for period in (2..40).map(|tenths| f64::from(tenths) / 10.0) {
+            let a = scaled.min_quantum_at(period).unwrap();
+            let b = rebuilt.min_quantum_at(period).unwrap();
+            prop_assert!(
+                a.quantum.to_bits() == b.quantum.to_bits(),
+                "λ={lambda} P={period}: {} vs {}",
+                a.quantum,
+                b.quantum
+            );
+            prop_assert_eq!(a.binding_instant.to_bits(), b.binding_instant.to_bits());
+        }
         if lambda == 1.0 {
-            prop_assert_eq!(a.quantum.to_bits(), b.quantum.to_bits());
             prop_assert!(scaled == base, "λ=1 must be the identity");
         }
     }
+}
+
+/// `tasks` with every WCET replaced by `wcet(task)`.
+fn rebuild_with_wcets(tasks: &TaskSet, wcet: impl Fn(&Task) -> f64) -> TaskSet {
+    TaskSet::new(
+        tasks
+            .iter()
+            .map(|t| {
+                let mut clone = t.clone();
+                clone.wcet = wcet(t);
+                clone
+            })
+            .collect::<Vec<_>>(),
+    )
+    .unwrap()
 }
 
 proptest! {
