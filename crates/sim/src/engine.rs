@@ -35,12 +35,17 @@
 //!   remaining-work and completion-time kept in parallel vectors — no
 //!   per-job cloning or hashing on the hot path.
 //!
-//! Fault classification is a single slice-major pass per channel: slices
-//! are stored in time order and the schedule's fault windows are sorted
-//! and disjoint, so one monotone cursor finds each slice's candidate
-//! fault in O(slices + faults). Tick granularity is materialised only
-//! inside fault windows (the overlap spans the classifier examines);
-//! everything else is interval arithmetic.
+//! Fault classification is fault-major: every slice of a channel lies
+//! inside one of its mode's useful windows, and all modes share the
+//! period `P`, so one cycle index `⌊at / P⌋` and a few compares tell
+//! which channels a fault can strike at all. For those, a per-channel
+//! cycle index recorded by [`Schedule::build`] names the first slice
+//! that ends after the fault's cycle starts, and the walk from there
+//! touches only the few slices near the fault: O(faults × channels)
+//! lookups plus the overlapping slices, instead of a pass over every
+//! slice. Tick granularity is materialised only inside fault windows
+//! (the overlap spans the classifier examines); everything else is
+//! interval arithmetic.
 //!
 //! The result is **bit-identical** to the original slot-stepping engine,
 //! which survives as [`crate::reference`] — an executable specification
@@ -105,8 +110,9 @@ pub struct ScheduleConfig {
 }
 
 /// Reusable scratch storage for [`Schedule::build`] and
-/// [`Schedule::classify`]: the per-job dispatch state of one build, the
-/// per-job fault marks of one classification (plus the window/queue/
+/// [`Schedule::classify`]: the per-job dispatch state of one build and
+/// the per-job fault marks of one classification, which
+/// [`Schedule::report`] reads back for the trace (plus the window/queue/
 /// completion buffers of the slot-stepping [`crate::reference`] engine,
 /// which shares the arena).
 ///
@@ -132,9 +138,6 @@ pub struct SimArena {
     completed_at: Vec<Option<Time>>,
     /// Fault-overlap flag per job of the classified schedule.
     fault_marks: Vec<bool>,
-    /// Arrival tick of every fault that marked a job (duplicates
-    /// included; sorted and deduplicated to count effective faults).
-    fault_instants: Vec<u64>,
 }
 
 impl Default for SimArena {
@@ -151,7 +154,6 @@ impl Default for SimArena {
             remaining: Vec::new(),
             completed_at: Vec::new(),
             fault_marks: Vec::new(),
-            fault_instants: Vec::new(),
         }
     }
 }
@@ -163,25 +165,53 @@ impl SimArena {
     }
 }
 
-/// One channel's share of a [`Schedule`]: its slices and jobs are the
-/// ranges between the previous channel's ends and its own.
+/// One channel's share of a [`Schedule`]: its slices, jobs and cycle
+/// index entries are the ranges between the previous channel's ends and
+/// its own.
 #[derive(Debug)]
 struct ChannelSpan {
     mode: Mode,
     channel: usize,
     /// Bit `c` is set when core `c` belongs to this channel.
     cores: u64,
+    /// Offset `o_m` of the mode's useful window in the cycle, in ticks.
+    offset: u64,
+    /// Length `Q̃_m` of the mode's useful window, in ticks.
+    quantum: u64,
     /// End (exclusive) of the channel's slices in [`Schedule::spans`].
     slices_end: usize,
     /// End (exclusive) of the channel's jobs in the schedule's job
     /// numbering.
     jobs_end: usize,
+    /// End (exclusive) of the channel's entries in
+    /// [`Schedule::cycle_index`].
+    index_end: usize,
+    /// Each cycle index entry covers `2^bucket_shift` cycles.
+    bucket_shift: u32,
 }
 
 impl ChannelSpan {
     /// Whether a fault on `core` strikes this channel.
     fn hosts(&self, core: CoreId) -> bool {
         self.cores & core_bit(core) != 0
+    }
+
+    /// Whether a fault that starts `phase` ticks into its cycle and lasts
+    /// `len` ticks can overlap one of this channel's useful windows, and
+    /// so one of its slices. Never false when it can; true may still
+    /// find nothing.
+    ///
+    /// A fault shorter than the period can only meet the windows of its
+    /// own cycle, of the next one, or of the previous one when tick
+    /// rounding makes `o_m + Q̃_m` overshoot the period (see
+    /// [`SlotSchedule::slack`]); the previous-cycle test also covers any
+    /// deeper overshoot.
+    fn may_overlap(&self, phase: u64, len: u64, period: u64) -> bool {
+        let window_end = self.offset + self.quantum;
+        len >= period
+            || phase + period < window_end
+            || (self.offset < phase + len && phase < window_end)
+            || period + self.offset < phase + len
     }
 }
 
@@ -202,10 +232,17 @@ fn core_bit(core: CoreId) -> u64 {
 #[derive(Debug)]
 pub struct Schedule {
     horizon: f64,
+    /// The horizon in ticks: no slice ends after it.
+    horizon_ticks: u64,
+    /// The cycle period `P` in ticks.
+    period: u64,
     /// Channels in mode order, then channel order.
     channels: Vec<ChannelSpan>,
     /// Execution slices `(start, end)`, chronological within a channel.
     spans: Vec<(Time, Time)>,
+    /// Per channel, entry `b` is the first of its slices (an index into
+    /// `spans`) that ends after the start of cycle `b · 2^bucket_shift`.
+    cycle_index: Vec<u32>,
     /// Job (in the schedule's numbering) behind each entry of `spans`.
     slice_jobs: Vec<u32>,
     /// Per-job records with the outcome left unclassified, kept only
@@ -351,8 +388,11 @@ impl Schedule {
 
         let mut schedule = Schedule {
             horizon: config.horizon,
+            horizon_ticks: horizon_time.ticks(),
+            period: slots.period().ticks(),
             channels: Vec::new(),
             spans: Vec::new(),
+            cycle_index: Vec::new(),
             slice_jobs: Vec::new(),
             records: config.record_trace.then(Vec::new),
             released_jobs: 0,
@@ -368,14 +408,19 @@ impl Schedule {
         };
 
         for mode in Mode::ALL {
-            let channel_sets = partition.mode(mode).channel_task_sets(tasks)?;
             let layout = ChannelLayout::canonical(mode);
-            for (channel, channel_set) in channel_sets.iter().enumerate() {
+            // Empty channels run nothing, but the channels after them keep
+            // their own index, which is what maps a fault's core to them.
+            for (channel, ids) in partition.mode(mode).channels().iter().enumerate() {
+                if ids.is_empty() {
+                    continue;
+                }
+                let channel_set = tasks.subset(ids)?;
                 let slices_start = schedule.spans.len();
                 let job_base = u32::try_from(schedule.released_jobs)
                     .expect("a schedule indexes its jobs with u32");
                 let stats = simulate_channel(
-                    channel_set,
+                    &channel_set,
                     mode,
                     algorithm,
                     slots,
@@ -428,6 +473,13 @@ impl Schedule {
                     .iter()
                     .map(|&(start, end)| (end - start).as_units())
                     .sum::<f64>();
+                let bucket_shift = index_cycles(
+                    slices_start,
+                    &schedule.spans,
+                    schedule.period,
+                    schedule.horizon_ticks,
+                    &mut schedule.cycle_index,
+                );
                 schedule.channels.push(ChannelSpan {
                     mode,
                     channel,
@@ -435,8 +487,12 @@ impl Schedule {
                         .cores_of(channel)
                         .iter()
                         .fold(0, |mask, &core| mask | core_bit(core)),
+                    offset: slots.slot_offset(mode).ticks(),
+                    quantum: slots.useful_quantum(mode).ticks(),
                     slices_end: schedule.spans.len(),
                     jobs_end: schedule.released_jobs as usize,
+                    index_end: schedule.cycle_index.len(),
+                    bucket_shift,
                 });
             }
         }
@@ -475,65 +531,95 @@ impl Schedule {
     /// `sim_*` counters, so a schedule classified `n` times counts as `n`
     /// simulation runs.
     ///
-    /// The record-major form — "for each job, scan its slices in time
-    /// order; at each slice take the schedule's first overlapping fault;
-    /// mark the job and stop at the first right-channel hit" — is
-    /// reproduced exactly by one pass over each channel's slices (each
-    /// job's slices appear in the same relative order) with a monotone
-    /// cursor over the sorted, disjoint fault windows. Jobs already
-    /// marked skip further checks, matching the record-major break; a
-    /// wrong-channel overlap leaves the job unmarked so its later slices
-    /// are still examined.
+    /// The rule is slice-major: each slice is examined against the first
+    /// fault of the schedule that ends after the slice starts, if the two
+    /// overlap; a job already marked skips further checks, and an overlap
+    /// on a channel the fault did not strike counts its ticks but leaves
+    /// the job unmarked, so its later slices are still examined. The pass
+    /// is fault-major and reproduces that rule exactly: a fault examines
+    /// the slices that overlap it and start no earlier than the previous
+    /// fault's end, channel by channel in time order, which is the order
+    /// the slice-major rule visits them in. Each channel's cycle index
+    /// (built with the schedule) finds the first of those slices, and
+    /// channels whose useful windows the fault misses are skipped
+    /// outright.
     pub fn classify(&self, faults: &FaultSchedule, arena: &mut SimArena) -> FaultClassification {
         let marks = &mut arena.fault_marks;
-        let instants = &mut arena.fault_instants;
         marks.clear();
         marks.resize(self.released_jobs as usize, false);
-        instants.clear();
-        let faults_list = faults.faults();
-        let mut outcomes = PerMode::splat(OutcomeCounts::default());
+        let mut struck = PerMode::splat(0u64);
         let mut fault_ticks = 0u64;
-        let (mut slices_start, mut jobs_start) = (0, 0);
-        for channel in &self.channels {
-            let range = slices_start..channel.slices_end;
-            let mut struck = 0u64;
-            if !faults_list.is_empty() {
-                let mut cursor = 0usize;
-                for (&(start, end), &ji) in self.spans[range.clone()]
-                    .iter()
-                    .zip(&self.slice_jobs[range])
-                {
-                    while cursor < faults_list.len() && faults_list[cursor].end() <= start {
-                        cursor += 1;
-                    }
-                    let Some(fault) = faults_list.get(cursor) else {
+        // Effective faults count distinct arrival instants: two
+        // zero-length faults may share one.
+        let mut effective_faults = 0u64;
+        let mut last_effective = None;
+        let period = self.period;
+        let inverse_period = 1.0 / period as f64;
+        let mut previous_end = Time::ZERO;
+        for fault in faults.faults() {
+            let (at, end) = (fault.at, fault.end());
+            // No slice ends after the horizon, and faults come in order.
+            if at.ticks() >= self.horizon_ticks || period == 0 {
+                break;
+            }
+            let cycle = cycle_of(at.ticks(), period, inverse_period);
+            let phase = at.ticks() - cycle * period;
+            let len = fault.duration.ticks();
+            let mut hit = false;
+            let mut index_start = 0;
+            for channel in &self.channels {
+                let index = &self.cycle_index[index_start..channel.index_end];
+                index_start = channel.index_end;
+                if !channel.may_overlap(phase, len, period) {
+                    continue;
+                }
+                let Some(&first) = index.get((cycle >> channel.bucket_shift) as usize) else {
+                    continue;
+                };
+                let hosts = channel.hosts(fault.core);
+                for i in first as usize..channel.slices_end {
+                    let (start, stop) = self.spans[i];
+                    if start >= end {
                         break;
-                    };
-                    if marks[ji as usize] {
+                    }
+                    // Slices that end before the fault, or that start
+                    // before the previous fault ends (they belong to it).
+                    if stop <= at || start < previous_end {
                         continue;
                     }
-                    if fault.overlaps(start, end) {
-                        // Tick granularity exists only here: the overlap
-                        // span the classifier examines inside the fault
-                        // window.
-                        fault_ticks += fault.end().min(end).ticks() - fault.at.max(start).ticks();
-                        if channel.hosts(fault.core) {
-                            marks[ji as usize] = true;
-                            struck += 1;
-                            instants.push(fault.at.ticks());
-                        }
+                    let ji = self.slice_jobs[i] as usize;
+                    if marks[ji] {
+                        continue;
                     }
+                    // Tick granularity exists only here: the overlap span
+                    // the classifier examines inside the fault window.
+                    fault_ticks += end.min(stop).ticks() - at.max(start).ticks();
+                    // Whether the fault struck this channel is a coin flip
+                    // per slice; no branch on it.
+                    marks[ji] = hosts;
+                    struck[channel.mode] += u64::from(hosts);
+                    hit |= hosts;
                 }
             }
-            let jobs = (channel.jobs_end - jobs_start) as u64;
-            let counts = &mut outcomes[channel.mode];
-            counts.add(classify_outcome(channel.mode, false), jobs - struck);
-            counts.add(classify_outcome(channel.mode, true), struck);
-            slices_start = channel.slices_end;
+            if hit && last_effective != Some(at) {
+                effective_faults += 1;
+                last_effective = Some(at);
+            }
+            previous_end = end;
+        }
+
+        let mut outcomes = PerMode::splat(OutcomeCounts::default());
+        let mut jobs = PerMode::splat(0u64);
+        let mut jobs_start = 0;
+        for channel in &self.channels {
+            jobs[channel.mode] += (channel.jobs_end - jobs_start) as u64;
             jobs_start = channel.jobs_end;
         }
-        instants.sort_unstable();
-        instants.dedup();
+        for mode in Mode::ALL {
+            let counts = &mut outcomes[mode];
+            counts.add(classify_outcome(mode, false), jobs[mode] - struck[mode]);
+            counts.add(classify_outcome(mode, true), struck[mode]);
+        }
 
         // One batched update per run: every count is a pure function of
         // the schedule and the faults.
@@ -550,7 +636,7 @@ impl Schedule {
         });
         FaultClassification {
             outcomes,
-            effective_faults: instants.len() as u64,
+            effective_faults,
         }
     }
 
@@ -604,6 +690,54 @@ impl Schedule {
             trace,
         }
     }
+}
+
+/// The cycle `⌊at / period⌋` of instant `at` (ticks): a float estimate,
+/// fixed up in integers so that the result is exact.
+fn cycle_of(at: u64, period: u64, inverse_period: f64) -> u64 {
+    let mut cycle = (at as f64 * inverse_period) as u64;
+    while cycle.saturating_mul(period) > at {
+        cycle -= 1;
+    }
+    while at - cycle * period >= period {
+        cycle += 1;
+    }
+    cycle
+}
+
+/// Appends the cycle index of one channel, whose slices are
+/// `spans[first..]`, to `index`, and returns its bucket shift: entry `b`
+/// is the first slice that ends after the start of cycle `b · 2^shift`.
+///
+/// The shift is the smallest one that keeps the index no longer than the
+/// channel's slice list, so a short period over a long horizon costs
+/// O(slices) rather than O(horizon / P). A channel without slices has no
+/// entries.
+fn index_cycles(
+    first: usize,
+    spans: &[(Time, Time)],
+    period: u64,
+    horizon: u64,
+    index: &mut Vec<u32>,
+) -> u32 {
+    let slices = &spans[first..];
+    if slices.is_empty() || period == 0 {
+        return 0;
+    }
+    let cycles = horizon.div_ceil(period);
+    let shift = cycles
+        .div_ceil(slices.len() as u64)
+        .next_power_of_two()
+        .trailing_zeros();
+    let mut i = 0;
+    for bucket in 0..cycles.div_ceil(1 << shift) {
+        let from = (bucket << shift) * period;
+        while i < slices.len() && slices[i].1.ticks() <= from {
+            i += 1;
+        }
+        index.push(u32::try_from(first + i).expect("a schedule indexes its slices with u32"));
+    }
+    shift
 }
 
 /// Simulates one channel of one mode over the horizon, appending its
@@ -777,7 +911,7 @@ mod tests {
     use super::*;
     use ftsched_platform::{Fault, FaultSchedule};
     use ftsched_task::examples::{paper_example, PAPER_TOTAL_OVERHEAD};
-    use ftsched_task::{Mode, PerMode, TaskId};
+    use ftsched_task::{Mode, ModePartition, PerMode, TaskId};
 
     /// The Table 2(b) slot schedule.
     fn table2b_slots() -> SlotSchedule {
@@ -1180,6 +1314,90 @@ mod tests {
         // draw on the shared schedule plus one per fresh simulation.
         assert_eq!(m.timing.arena_fresh + m.timing.arena_reused, 4);
         assert_eq!(m.counters.sim_runs, 9);
+    }
+
+    /// Checks every channel's cycle index against its definition and
+    /// returns the largest bucket shift.
+    fn assert_cycle_index_is_exact(schedule: &Schedule) -> u32 {
+        let (mut slices_start, mut index_start) = (0, 0);
+        let mut widest = 0;
+        for channel in &schedule.channels {
+            let slices = &schedule.spans[slices_start..channel.slices_end];
+            let index = &schedule.cycle_index[index_start..channel.index_end];
+            assert!(!slices.is_empty());
+            assert!(index.len() <= slices.len() + 1, "{} entries", index.len());
+            for (bucket, &first) in index.iter().enumerate() {
+                let from = ((bucket as u64) << channel.bucket_shift) * schedule.period;
+                let expected = slices.iter().position(|s| s.1.ticks() > from);
+                assert_eq!(
+                    first as usize,
+                    slices_start + expected.unwrap_or(slices.len())
+                );
+            }
+            let covered = (index.len() as u64) << channel.bucket_shift;
+            assert!(covered * schedule.period >= schedule.horizon_ticks);
+            widest = widest.max(channel.bucket_shift);
+            slices_start = channel.slices_end;
+            index_start = channel.index_end;
+        }
+        widest
+    }
+
+    #[test]
+    fn cycle_index_is_exact_and_no_longer_than_the_slices() {
+        // The paper design: the busy channels have more slices than
+        // cycles, so one entry a cycle.
+        let (tasks, partition) = paper_example();
+        let mut arena = SimArena::new();
+        let config = ScheduleConfig {
+            horizon: 240.0,
+            record_trace: false,
+            record_response_times: false,
+        };
+        let schedule = Schedule::build(
+            &tasks,
+            &partition,
+            Algorithm::EarliestDeadlineFirst,
+            &table2b_slots(),
+            &config,
+            &mut arena,
+        )
+        .unwrap();
+        assert_cycle_index_is_exact(&schedule);
+        assert!(schedule.channels.iter().any(|c| c.bucket_shift == 0));
+
+        // P = 0.01 over 1,000 units: 100,000 cycles for a few dozen
+        // slices per channel, so each entry spans many cycles.
+        let tasks = TaskSet::new(
+            Mode::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &mode)| Task::implicit_deadline(i as u32 + 1, 0.004, 50.0, mode).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let part = |mode, id| ModePartition::new(mode, vec![vec![TaskId(id)]]).unwrap();
+        let partition = SystemPartition::new(
+            part(Mode::FaultTolerant, 1),
+            part(Mode::FailSilent, 2),
+            part(Mode::NonFaultTolerant, 3),
+        );
+        let slots = SlotSchedule::new(0.01, PerMode::splat(0.003), PerMode::splat(0.0003)).unwrap();
+        let config = ScheduleConfig {
+            horizon: 1000.0,
+            ..config
+        };
+        let schedule = Schedule::build(
+            &tasks,
+            &partition,
+            Algorithm::EarliestDeadlineFirst,
+            &slots,
+            &config,
+            &mut arena,
+        )
+        .unwrap();
+        assert!(assert_cycle_index_is_exact(&schedule) > 0);
+        assert!(schedule.cycle_index.len() <= schedule.spans.len() + schedule.channels.len());
     }
 
     #[test]

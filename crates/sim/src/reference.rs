@@ -3,12 +3,12 @@
 //!
 //! The production engine in [`crate::engine`] advances time event-to-event
 //! (releases, window edges, completions) and classifies faults with a
-//! single slice-major pass. This module preserves the earlier
-//! implementation — materialise every useful window up front, walk them
-//! one by one, classify faults record-major with a linear schedule scan —
-//! so equivalence can be *tested* instead of argued: the proptest battery
-//! in `tests/sim_equivalence.rs` and the `ftsched bench --sim` bitwise
-//! gate both assert that [`simulate_slot_stepping`] and
+//! fault-major pass over a per-channel cycle index. This module preserves
+//! the earlier implementation — materialise every useful window up front,
+//! walk them one by one, classify faults record-major with a linear
+//! schedule scan — so equivalence can be *tested* instead of argued: the
+//! proptest battery in `tests/sim_equivalence.rs` and the `ftsched bench
+//! --sim` bitwise gate both assert that [`simulate_slot_stepping`] and
 //! [`crate::simulate`] return bit-identical [`SimulationReport`]s.
 //!
 //! Test/bench-only: nothing in the production pipeline calls this engine,
@@ -82,10 +82,22 @@ pub fn simulate_slot_stepping_in(
     let mut effective_faults: std::collections::HashSet<u64> = std::collections::HashSet::new();
 
     for mode in Mode::ALL {
-        let channel_sets = partition.mode(mode).channel_task_sets(tasks)?;
         let layout = ChannelLayout::canonical(mode);
-        for (channel, channel_set) in channel_sets.iter().enumerate() {
-            simulate_channel(channel_set, mode, channel, algorithm, slots, horizon, arena);
+        // Empty channels run nothing; the others keep their own index.
+        for (channel, ids) in partition.mode(mode).channels().iter().enumerate() {
+            if ids.is_empty() {
+                continue;
+            }
+            let channel_set = tasks.subset(ids)?;
+            simulate_channel(
+                &channel_set,
+                mode,
+                channel,
+                algorithm,
+                slots,
+                horizon,
+                arena,
+            );
             released_jobs += arena.records.len() as u64;
             for record in &arena.records {
                 // Classify the job against the fault schedule: a fault is

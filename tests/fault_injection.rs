@@ -212,3 +212,88 @@ fn fault_rate_sweep_shows_monotone_exposure_in_nf_mode() {
     }
     assert!(last > 0);
 }
+
+#[test]
+fn faults_strike_the_channel_a_task_runs_on_when_an_earlier_channel_is_empty() {
+    // NF channel 0 (core 0) is left empty, so task 1 runs on channel 1
+    // (core 1). Faults on core 0 must strike no NF job, and faults on
+    // core 1 must strike task 1's jobs, in both engines alike.
+    let tasks = paper_taskset();
+    let id = TaskId;
+    let nf = ModePartition::new(
+        Mode::NonFaultTolerant,
+        vec![vec![], vec![id(1)], vec![id(2), id(3)], vec![id(4), id(5)]],
+    )
+    .unwrap();
+    let paper = paper_partition();
+    let partition = SystemPartition::new(paper.modes.ft.clone(), paper.modes.fs.clone(), nf);
+    partition.validate(&tasks).unwrap();
+    let horizon = 240.0;
+    let drawn = FaultSchedule::poisson(
+        &mut StdRng::seed_from_u64(2007),
+        Time::from_units(horizon),
+        Duration::from_units(2.0),
+        Duration::from_units(0.25),
+    );
+    for core in [0, 1] {
+        let faults = drawn
+            .faults()
+            .iter()
+            .map(|f| Fault {
+                core: CoreId(core),
+                ..*f
+            })
+            .collect();
+        let config = SimulationConfig {
+            horizon,
+            fault_schedule: FaultSchedule::new(faults).unwrap(),
+            record_trace: true,
+            record_response_times: false,
+        };
+        let report = simulate(
+            &tasks,
+            &partition,
+            Algorithm::EarliestDeadlineFirst,
+            &table2b_slots(),
+            &config,
+        )
+        .unwrap();
+        let reference = ftsched_sim::reference::simulate_slot_stepping(
+            &tasks,
+            &partition,
+            Algorithm::EarliestDeadlineFirst,
+            &table2b_slots(),
+            &config,
+        )
+        .unwrap();
+        assert_eq!(report, reference, "core {core}");
+
+        let trace = report.trace.as_ref().unwrap();
+        let nf_jobs = || {
+            trace
+                .jobs
+                .iter()
+                .filter(|r| r.mode == Mode::NonFaultTolerant)
+        };
+        assert!(nf_jobs().all(|r| r.channel != 0), "core {core}");
+        assert!(
+            nf_jobs()
+                .filter(|r| r.job.task == id(1))
+                .all(|r| r.channel == 1),
+            "core {core}"
+        );
+        let struck: Vec<_> = nf_jobs()
+            .filter(|r| r.outcome == JobOutcome::WrongResult)
+            .collect();
+        if core == 0 {
+            assert!(
+                struck.is_empty(),
+                "{} NF jobs struck on core 0",
+                struck.len()
+            );
+        } else {
+            assert!(!struck.is_empty(), "no task 1 job struck on core 1");
+            assert!(struck.iter().all(|r| r.job.task == id(1)));
+        }
+    }
+}
