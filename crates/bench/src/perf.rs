@@ -1036,6 +1036,12 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
             serde_json::from_str::<ftsched_campaign::CampaignReport>(text).unwrap(),
         );
     });
+    // The same report written back out, through the pretty writer
+    // `ftsched run --out` uses.
+    let decoded: ftsched_campaign::CampaignReport = serde_json::from_str(&report).unwrap();
+    entry(&mut entries, "json_encode_report", quick, || {
+        std::hint::black_box(std::hint::black_box(&decoded).to_json());
+    });
 
     // The transcript contract: byte-identical replay whatever the batch
     // size and whether or not the caches answer, fresh engine each side

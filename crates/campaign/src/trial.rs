@@ -8,12 +8,13 @@
 //! pipeline. Re-running a trial with the coordinates recorded in a report
 //! reproduces its outcome exactly.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use ftsched_analysis::Algorithm;
 use ftsched_core::pipeline::{
     design_stage_at, validation_horizon, validation_span, PipelineError, PipelineOutcome,
 };
@@ -21,14 +22,14 @@ use ftsched_design::baseline::{compare_static_schemes, BaselineComparison};
 use ftsched_design::goals::goal_period_with;
 use ftsched_design::partitioner::partition_system;
 use ftsched_design::problem::DesignProblem;
-use ftsched_design::region::max_feasible_period_with;
+use ftsched_design::region::last_feasible_period_with;
 use ftsched_design::sensitivity::wcet_scaling_margin_with;
-use ftsched_design::{DesignGoal, DesignSolution};
+use ftsched_design::{AnalysisContext, DesignGoal, DesignSolution};
 use ftsched_obs::Stage;
 use ftsched_platform::FaultSchedule;
 use ftsched_sim::report::OutcomeCounts;
 use ftsched_sim::{Schedule, ScheduleConfig, SimArena, SimError, SlotSchedule};
-use ftsched_task::generator::generate_taskset;
+use ftsched_task::generator::{generate_taskset, GeneratorConfig};
 use ftsched_task::{PerMode, SystemPartition, TaskSet, Time};
 
 use crate::cache::DesignKey;
@@ -270,7 +271,8 @@ pub struct TrialOutcome {
 /// The deterministic design prefix of one trial: problem construction,
 /// analysis context, baseline verdicts and the design stage with its
 /// WCET margin. Paper trials cache it per scenario in the
-/// [`DesignCache`]; synthetic trials compute it per trial.
+/// [`DesignCache`]; synthetic trials compute it per trial from the
+/// [`SharedAnalysis`] of their task set.
 #[derive(Debug)]
 struct DesignPrefix {
     baselines: Option<BaselineVerdicts>,
@@ -332,23 +334,95 @@ enum ScheduleSource<'a> {
 /// The design-cache type campaigns share across workers.
 pub(crate) type TrialDesignCache = DesignCache<PaperPrefix>;
 
+/// One lazily computed value per scheduling algorithm, built by the
+/// first trial that asks for it and read by every later one.
+#[derive(Debug)]
+struct PerAlgorithm<T>([OnceLock<T>; Algorithm::ALL.len()]);
+
+impl<T> Default for PerAlgorithm<T> {
+    fn default() -> Self {
+        PerAlgorithm(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+impl<T> PerAlgorithm<T> {
+    fn get_or_init(&self, algorithm: Algorithm, init: impl FnOnce() -> T) -> &T {
+        self.0[algorithm as usize].get_or_init(init)
+    }
+}
+
 /// The deterministic generation stage of one synthetic trial: the task
 /// set (or `None` for a generation failure) and the RNG state *after*
 /// the draw, so cached trials resume the stream exactly where an
-/// uncached trial would.
+/// uncached trial would. It also carries what every scenario of the set
+/// derives from the set alone: its content hash (the partition cache's
+/// key) and the static baseline verdicts per algorithm.
 #[derive(Debug)]
 pub(crate) struct GenPrefix {
     tasks: Option<TaskSet>,
     rng: StdRng,
+    content_hash: OnceLock<u64>,
+    /// [`compare_static_schemes`] with `flexible` left false; each trial
+    /// sets its own flexible verdict.
+    static_verdicts: PerAlgorithm<BaselineVerdicts>,
+}
+
+impl GenPrefix {
+    /// Draws a task set from a copy of `rng`.
+    fn draw(rng: &StdRng, config: &GeneratorConfig) -> Self {
+        let mut rng = rng.clone();
+        let tasks = generate_taskset(&mut rng, config).ok();
+        GenPrefix {
+            tasks,
+            rng,
+            content_hash: OnceLock::new(),
+            static_verdicts: PerAlgorithm::default(),
+        }
+    }
+
+    fn content_hash(&self, tasks: &TaskSet) -> u64 {
+        *self.content_hash.get_or_init(|| tasks.content_hash())
+    }
 }
 
 /// The partition of one generated task set under one heuristic, stored
 /// with the set itself so content-hash collisions are detected by `==`
-/// instead of silently reusing a wrong partition.
+/// instead of silently reusing a wrong partition. It also carries the
+/// analysis context of the partitioned set per algorithm, which every
+/// overhead of the set shares.
 #[derive(Debug)]
 pub(crate) struct PartitionEntry {
     tasks: TaskSet,
     partition: Option<SystemPartition>,
+    contexts: PerAlgorithm<AnalysisContext>,
+}
+
+/// What one synthetic trial's design prefix reads from the analysis its
+/// task set shares with the other scenarios of the grid: with the caches
+/// on, the generation and partition entries hold it; without them, the
+/// trial owns a fresh one.
+struct SharedAnalysis<'a> {
+    /// Static baseline verdicts per algorithm (they depend on the task
+    /// set alone).
+    static_verdicts: &'a PerAlgorithm<BaselineVerdicts>,
+    /// The analysis context per algorithm: its sweeps depend on the
+    /// channel task sets, not on the overhead, which each trial sets
+    /// with [`AnalysisContext::with_overheads`].
+    contexts: &'a PerAlgorithm<AnalysisContext>,
+}
+
+impl SharedAnalysis<'_> {
+    /// The baseline verdicts of `tasks` under `algorithm`, with the
+    /// trial's own flexible verdict.
+    fn baselines(&self, tasks: &TaskSet, algorithm: Algorithm, flexible: bool) -> BaselineVerdicts {
+        let statics = self.static_verdicts.get_or_init(algorithm, || {
+            compare_static_schemes(tasks, algorithm, false).into()
+        });
+        BaselineVerdicts {
+            flexible,
+            ..*statics
+        }
+    }
 }
 
 /// The caches one campaign shares across its workers. The paper design
@@ -370,6 +444,9 @@ pub(crate) struct TrialCaches {
     pub(crate) design: TrialDesignCache,
     gen: MemoCache<(usize, usize), GenPrefix>,
     partition: MemoCache<PartitionKey, PartitionEntry>,
+    /// Whether partition entries keep their analysis contexts: only a
+    /// grid with several overheads reads one context more than once.
+    share_contexts: bool,
 }
 
 /// Live-entry cap of each synthetic cache (entries are one generated
@@ -407,6 +484,7 @@ impl TrialCaches {
                 SYNTHETIC_CACHE_CAPACITY,
             )
             .with_stats(|m| &m.partition_cache),
+            share_contexts: overheads > 1,
         }
     }
 }
@@ -449,7 +527,11 @@ fn paper_prefix(
     arena: &mut SimArena,
 ) -> PaperPrefix {
     let (tasks, partition) = ftsched_task::examples::paper_example();
-    let design = design_prefix(spec, scenario, tasks, partition);
+    let shared = SharedAnalysis {
+        static_verdicts: &PerAlgorithm::default(),
+        contexts: &PerAlgorithm::default(),
+    };
+    let design = design_prefix(spec, scenario, tasks, partition, shared);
     let validation = match &design.stage {
         DesignStage::Designed(designed) => validation(spec, designed, record_trace, arena).ok(),
         _ => None,
@@ -459,15 +541,18 @@ fn paper_prefix(
 
 /// Computes the design prefix of one trial, all inside one design span.
 ///
-/// The analysis context is built once, and `max_feasible_period_with`
-/// runs at most once: its result is the flexible-scheme verdict, the
-/// `DesignOnly` verdict and, under `MinimizeOverheadBandwidth`, the
-/// design's period or its rejection.
+/// The analysis context comes from `shared` (built there by the first
+/// trial of the set, partition and algorithm), and the feasible-period
+/// search runs at most once: its result is the flexible-scheme verdict,
+/// the `DesignOnly` verdict and, under `MinimizeOverheadBandwidth`, the
+/// design's period or its rejection. A rejection skips the peak search
+/// that only the search's error would report.
 fn design_prefix(
     spec: &CampaignSpec,
     scenario: &Scenario,
     tasks: TaskSet,
     partition: SystemPartition,
+    shared: SharedAnalysis<'_>,
 ) -> DesignPrefix {
     let _span = ftsched_obs::time(Stage::Design);
     let Ok(problem) =
@@ -479,17 +564,22 @@ fn design_prefix(
         };
     };
     let region = spec.region_config(&problem);
-    let ctx = problem
-        .analysis_context()
-        .expect("a validated problem always yields a context");
+    let ctx = shared
+        .contexts
+        .get_or_init(problem.algorithm, || {
+            problem
+                .analysis_context()
+                .expect("a validated problem always yields a context")
+        })
+        .with_overheads(problem.overheads);
     let design_only = matches!(spec.kind, TrialKind::DesignOnly);
     let min_overhead = matches!(spec.goal, DesignGoal::MinimizeOverheadBandwidth);
     let search = (spec.compare_baselines || design_only || min_overhead)
-        .then(|| max_feasible_period_with(&ctx, &region));
-    let feasible = matches!(search, Some(Ok(_)));
+        .then(|| last_feasible_period_with(&ctx, &region).ok().flatten());
+    let feasible = matches!(search, Some(Some(_)));
     let baselines = spec
         .compare_baselines
-        .then(|| compare_static_schemes(&problem.tasks, problem.algorithm, feasible).into());
+        .then(|| shared.baselines(&problem.tasks, problem.algorithm, feasible));
     if design_only {
         return DesignPrefix {
             baselines,
@@ -503,7 +593,16 @@ fn design_prefix(
 
     ftsched_obs::record(|m| m.design_stage_runs.incr());
     let period = match search {
-        Some(searched) if min_overhead => searched,
+        Some(Some(period)) if min_overhead => Ok(period),
+        // No sample is feasible, so the goal's own search (the same scan
+        // for the slack goal) would reject too; only a fixed period can
+        // still fit.
+        Some(None) if !matches!(spec.goal, DesignGoal::FixedPeriod(_)) => {
+            return DesignPrefix {
+                baselines,
+                stage: DesignStage::Rejected,
+            }
+        }
         _ => goal_period_with(&ctx, spec.goal, &region),
     };
     let designed = period
@@ -672,62 +771,67 @@ fn run_trial_inner(
         .expect("synthetic workloads have generator configs");
     ftsched_obs::record(|m| m.generation_cache_requests.incr());
     let gen_span = ftsched_obs::time(Stage::Generation);
-    let tasks: Option<TaskSet> = match caches.filter(|c| c.gen.enabled()) {
-        Some(c) => {
-            let prefix = c.gen.get_or_compute((scenario.workload_point, trial), || {
-                let mut fresh = rng.clone();
-                let tasks = generate_taskset(&mut fresh, &config).ok();
-                GenPrefix { tasks, rng: fresh }
-            });
-            rng = prefix.rng.clone();
-            prefix.tasks.clone()
-        }
-        None => generate_taskset(&mut rng, &config).ok(),
+    let gen: Arc<GenPrefix> = match caches.filter(|c| c.gen.enabled()) {
+        Some(c) => c.gen.get_or_compute((scenario.workload_point, trial), || {
+            GenPrefix::draw(&rng, &config)
+        }),
+        None => Arc::new(GenPrefix::draw(&rng, &config)),
     };
+    rng = gen.rng.clone();
     drop(gen_span);
-    let Some(tasks) = tasks else {
+    let Some(tasks) = gen.tasks.clone() else {
         return (finish(TrialStatus::GenerationFailed, None, None), None);
     };
 
     // 2. Partition (shared across the algorithm and overhead axes via the
-    //    task set's content hash). Baselines that ignore the partition
-    //    are still evaluated when partitioning fails.
+    //    task set's content hash, together with the analysis context
+    //    built on it). Baselines that ignore the partition are still
+    //    evaluated when partitioning fails.
     let heuristic = scenario.partition_heuristic;
     ftsched_obs::record(|m| m.partition_cache_requests.incr());
     let partition_span = ftsched_obs::time(Stage::Partition);
-    let partition: Option<SystemPartition> = match caches.filter(|c| c.partition.enabled()) {
-        Some(c) => {
-            let key = PartitionKey {
-                taskset_hash: tasks.content_hash(),
-                heuristic,
-            };
-            let entry = c.partition.get_or_compute(key, || PartitionEntry {
-                tasks: tasks.clone(),
-                partition: partition_system(&tasks, heuristic).ok(),
-            });
-            if entry.tasks == tasks {
-                ftsched_obs::record(|m| m.partition_cache.verified_hits.incr());
-                entry.partition.clone()
-            } else {
-                // 64-bit content-hash collision: recompute rather than
-                // trust the wrong set's partition.
-                partition_system(&tasks, heuristic).ok()
-            }
-        }
+    let entry = caches.filter(|c| c.partition.enabled()).and_then(|c| {
+        let key = PartitionKey {
+            taskset_hash: gen.content_hash(&tasks),
+            heuristic,
+        };
+        let entry = c.partition.get_or_compute(key, || PartitionEntry {
+            tasks: tasks.clone(),
+            partition: partition_system(&tasks, heuristic).ok(),
+            contexts: PerAlgorithm::default(),
+        });
+        // A 64-bit content-hash collision recomputes below rather than
+        // trust the wrong set's partition.
+        (entry.tasks == tasks).then(|| {
+            ftsched_obs::record(|m| m.partition_cache.verified_hits.incr());
+            entry
+        })
+    });
+    let partition = match &entry {
+        Some(entry) => entry.partition.clone(),
         None => partition_system(&tasks, heuristic).ok(),
     };
     drop(partition_span);
+    let own_contexts = PerAlgorithm::default();
+    let contexts = match &entry {
+        Some(entry) if caches.is_some_and(|c| c.share_contexts) => &entry.contexts,
+        _ => &own_contexts,
+    };
+    let shared = SharedAnalysis {
+        static_verdicts: &gen.static_verdicts,
+        contexts,
+    };
     let Some(partition) = partition else {
         let baselines = spec.compare_baselines.then(|| {
             let _span = ftsched_obs::time(Stage::Design);
-            compare_static_schemes(&tasks, scenario.algorithm, false).into()
+            shared.baselines(&tasks, scenario.algorithm, false)
         });
         return (finish(TrialStatus::PartitionFailed, baselines, None), None);
     };
 
     // 3. Design, then (for validate trials) the fault schedule over the
     //    exact simulation horizon and its classification.
-    let prefix = design_prefix(spec, scenario, tasks, partition);
+    let prefix = design_prefix(spec, scenario, tasks, partition, shared);
     let (status, sim, outcome) =
         finish_design(spec, &prefix, ScheduleSource::Own, &mut rng, arena, detail);
     (finish(status, prefix.baselines, sim), outcome)

@@ -12,6 +12,13 @@
 //! The context also carries the problem's overheads, making it
 //! self-contained for the region functions: `eq15_lhs`, `min_quanta` and
 //! the minimal allocation are all answerable from the context alone.
+//!
+//! The sweeps depend only on the channel task sets and the algorithm, not
+//! on the overheads, so they sit behind an [`Arc`]: a clone or a
+//! [`AnalysisContext::with_overheads`] copy shares them, and
+//! [`AnalysisContext::rescale_into`] copies them on its first write.
+
+use std::sync::Arc;
 
 use ftsched_analysis::{Algorithm, MinQSweepMulti};
 use ftsched_task::{Mode, PerMode};
@@ -25,7 +32,8 @@ use crate::quanta::QuantaAllocation;
 /// any number of period samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisContext {
-    sweeps: PerMode<MinQSweepMulti>,
+    /// Shared by clones and by [`Self::with_overheads`] copies.
+    sweeps: Arc<PerMode<MinQSweepMulti>>,
     overheads: PerMode<f64>,
     algorithm: Algorithm,
 }
@@ -46,7 +54,7 @@ impl AnalysisContext {
             nf: MinQSweepMulti::new(channels.get(Mode::NonFaultTolerant), problem.algorithm)?,
         };
         Ok(AnalysisContext {
-            sweeps,
+            sweeps: Arc::new(sweeps),
             overheads: problem.overheads,
             algorithm: problem.algorithm,
         })
@@ -60,6 +68,19 @@ impl AnalysisContext {
     /// Per-mode switching overheads of the underlying problem.
     pub fn overheads(&self) -> PerMode<f64> {
         self.overheads
+    }
+
+    /// The context of the same channel task sets and algorithm at other
+    /// per-mode overheads: the context [`Self::new`] builds for the
+    /// problem with those overheads, bit for bit, sharing this one's
+    /// sweeps instead of enumerating them again. The overheads enter only
+    /// Eq. 15's test and the allocation, never a `minQ`.
+    pub fn with_overheads(&self, overheads: PerMode<f64>) -> AnalysisContext {
+        AnalysisContext {
+            sweeps: Arc::clone(&self.sweeps),
+            overheads,
+            algorithm: self.algorithm,
+        }
     }
 
     /// Total switching overhead `O_tot`.
@@ -127,7 +148,9 @@ impl AnalysisContext {
     /// Panics if `lambda` is not finite and positive.
     pub fn scaled(&self, lambda: f64) -> AnalysisContext {
         AnalysisContext {
-            sweeps: PerMode::from_fn(|m| self.sweeps[m].with_scaled_wcets(lambda)),
+            sweeps: Arc::new(PerMode::from_fn(|m| {
+                self.sweeps[m].with_scaled_wcets(lambda)
+            })),
             overheads: self.overheads,
             algorithm: self.algorithm,
         }
@@ -138,12 +161,17 @@ impl AnalysisContext {
     /// enumerations), a rescale allocates nothing and re-enumerates
     /// nothing.
     ///
+    /// Copy on write: when `out` still shares its sweeps with another
+    /// context (a fresh clone does), the first rescale copies them, so
+    /// the other context never sees a rescaled load.
+    ///
     /// # Panics
     ///
     /// Panics if `lambda` is not finite and positive.
     pub fn rescale_into(&self, lambda: f64, out: &mut AnalysisContext) {
+        let sweeps = Arc::make_mut(&mut out.sweeps);
         for mode in Mode::ALL {
-            self.sweeps[mode].rescale_into(lambda, &mut out.sweeps[mode]);
+            self.sweeps[mode].rescale_into(lambda, &mut sweeps[mode]);
         }
         out.overheads = self.overheads;
         out.algorithm = self.algorithm;
@@ -257,6 +285,55 @@ mod tests {
             }
             // λ = 1 is the exact identity.
             assert_eq!(ctx.scaled(1.0), ctx);
+        }
+    }
+
+    #[test]
+    fn with_overheads_is_a_fresh_context_at_those_overheads() {
+        for alg in Algorithm::ALL {
+            let base = AnalysisContext::new(&paper_problem(alg)).unwrap();
+            for total in [0.0, 0.02, 0.3] {
+                let overheads = PerMode::splat(total / 3.0);
+                let shared = base.with_overheads(overheads);
+                let fresh =
+                    AnalysisContext::new(&paper_problem(alg).with_overheads(overheads).unwrap())
+                        .unwrap();
+                assert_eq!(shared, fresh, "{alg} O_tot={total}");
+                assert!(Arc::ptr_eq(&shared.sweeps, &base.sweeps));
+                for i in 1..=40 {
+                    let period = i as f64 * 0.08;
+                    assert_eq!(
+                        shared.eq15_lhs(period).unwrap().to_bits(),
+                        fresh.eq15_lhs(period).unwrap().to_bits()
+                    );
+                    assert_eq!(
+                        shared.minimum_allocation(period).ok(),
+                        fresh.minimum_allocation(period).ok()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rescaling_a_clone_leaves_the_shared_original_untouched() {
+        for alg in Algorithm::ALL {
+            let original = AnalysisContext::new(&paper_problem(alg)).unwrap();
+            let snapshot = AnalysisContext::new(&paper_problem(alg)).unwrap();
+            let sibling = original.with_overheads(PerMode::splat(0.0));
+            let mut scratch = original.clone();
+            assert!(Arc::ptr_eq(&scratch.sweeps, &original.sweeps));
+            original.rescale_into(1.7, &mut scratch);
+            // The first write copied the sweeps; later ones reuse the copy.
+            assert!(!Arc::ptr_eq(&scratch.sweeps, &original.sweeps));
+            let copy = Arc::as_ptr(&scratch.sweeps);
+            original.rescale_into(1.3, &mut scratch);
+            assert_eq!(Arc::as_ptr(&scratch.sweeps), copy);
+            assert_eq!(scratch, original.scaled(1.3));
+            // Neither context sharing the original's sweeps sees a load.
+            assert_eq!(original, snapshot, "{alg}");
+            assert_eq!(sibling, snapshot.with_overheads(PerMode::splat(0.0)));
+            assert!(Arc::ptr_eq(&sibling.sweeps, &original.sweeps));
         }
     }
 

@@ -251,7 +251,9 @@ pub fn max_feasible_period(
     max_feasible_period_with(&problem.analysis_context()?, config)
 }
 
-/// [`max_feasible_period`] over a prebuilt [`AnalysisContext`].
+/// [`max_feasible_period`] over a prebuilt [`AnalysisContext`]: the
+/// answer of [`last_feasible_period_with`], and on a rejection the peak
+/// of the curve for the error.
 ///
 /// # Errors
 ///
@@ -262,25 +264,27 @@ pub fn max_feasible_period_with(
 ) -> Result<f64, DesignError> {
     let mut search = Search::new(ctx, config)?;
     let threshold = ctx.total_overhead();
-    let last = search.last_feasible(threshold)?;
+    match search.feasible_period(threshold)? {
+        Some(period) => Ok(period),
+        None => Err(search.no_feasible_period(threshold)),
+    }
+}
 
-    // Bracket [last feasible sample, next (infeasible) sample] and bisect on
-    // the continuous function f(P) − threshold.
-    if last.index + 1 >= config.samples {
-        // Feasible up to the end of the search range.
-        return Ok(last.point.period);
-    }
-    let mut lo = last.point.period;
-    let mut hi = search.period(last.index + 1);
-    for _ in 0..config.refine_iterations {
-        let mid = 0.5 * (lo + hi);
-        if search.lhs(mid)? >= threshold {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
+/// The largest feasible period for the context's total overhead, or
+/// `None` when no sampled period is feasible: [`max_feasible_period_with`]
+/// without the peak search that only its error reports. Callers that
+/// need just the verdict on a rejection (a campaign trial) skip that
+/// search.
+///
+/// # Errors
+///
+/// Returns a [`DesignError`] for an invalid search range or analysis
+/// failure.
+pub fn last_feasible_period_with(
+    ctx: &AnalysisContext,
+    config: &RegionConfig,
+) -> Result<Option<f64>, DesignError> {
+    Search::new(ctx, config)?.feasible_period(ctx.total_overhead())
 }
 
 /// The maximum admissible total overhead: `max_P f(P)` over the search
@@ -341,7 +345,9 @@ pub fn max_slack_ratio_period_with(
 ) -> Result<RegionPoint, DesignError> {
     let mut search = Search::new(ctx, config)?;
     let threshold = ctx.total_overhead();
-    let last = search.last_feasible(threshold)?;
+    let Some(last) = search.last_feasible(threshold)? else {
+        return Err(search.no_feasible_period(threshold));
+    };
     // Every sample right of the last feasible one is infeasible.
     search.samples.retain(|s| s.index <= last.index);
     let coarse = search.best(Objective::Slack { threshold })?;
@@ -601,29 +607,55 @@ impl<'a> Search<'a> {
     }
 
     /// The last grid sample with `f(P) ≥ threshold`, scanning right to
-    /// left. Each evaluated sample rules out every sample to its left
-    /// whose bound stays below the threshold, down to the next one that
-    /// could reach it.
-    ///
-    /// # Errors
-    ///
-    /// [`DesignError::NoFeasiblePeriod`] carrying the peak of the curve
-    /// when no sample is feasible.
-    fn last_feasible(&mut self, threshold: f64) -> Result<Sample, DesignError> {
+    /// left, or `None` when no sample is feasible. Each evaluated sample
+    /// rules out every sample to its left whose bound stays below the
+    /// threshold, down to the next one that could reach it.
+    fn last_feasible(&mut self, threshold: f64) -> Result<Option<Sample>, DesignError> {
         let cutoff = threshold - self.guard;
         let mut next = self.evaluate(self.config.samples - 1)?;
         while next.point.lhs < threshold {
             match self.gap(0).and_then(|gap| gap.last_reaching(cutoff)) {
                 Some(index) => next = self.evaluate(index)?,
-                None => {
-                    return Err(DesignError::NoFeasiblePeriod {
-                        total_overhead: threshold,
-                        max_admissible_overhead: self.best(Objective::Peak)?.lhs,
-                    })
-                }
+                None => return Ok(None),
             }
         }
-        Ok(next)
+        Ok(Some(next))
+    }
+
+    /// The largest period with `f(P) ≥ threshold`: the last feasible
+    /// sample, refined by bisecting the bracket to its right on the
+    /// continuous function `f(P) − threshold`.
+    fn feasible_period(&mut self, threshold: f64) -> Result<Option<f64>, DesignError> {
+        let Some(last) = self.last_feasible(threshold)? else {
+            return Ok(None);
+        };
+        if last.index + 1 >= self.config.samples {
+            // Feasible up to the end of the search range.
+            return Ok(Some(last.point.period));
+        }
+        let mut lo = last.point.period;
+        let mut hi = self.period(last.index + 1);
+        for _ in 0..self.config.refine_iterations {
+            let mid = 0.5 * (lo + hi);
+            if self.lhs(mid)? >= threshold {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(Some(lo))
+    }
+
+    /// The error of a search that found no feasible sample: it carries
+    /// the peak of the curve, found from the samples the scan evaluated.
+    fn no_feasible_period(&mut self, threshold: f64) -> DesignError {
+        match self.best(Objective::Peak) {
+            Ok(peak) => DesignError::NoFeasiblePeriod {
+                total_overhead: threshold,
+                max_admissible_overhead: peak.lhs,
+            },
+            Err(e) => e,
+        }
     }
 
     /// The last sample maximising `objective` over the grid up to the
@@ -965,9 +997,10 @@ mod tests {
     fn searches_count_their_evaluations() {
         // Paper EDF problem, O_tot = 0.05, 1,400 samples; the eager sweep
         // counts nothing. The feasible period takes 32 scan samples and 60
-        // bisection steps. The slack argmax adds 269 branch-and-bound
-        // samples to the scan and the peak takes 265; both then refine
-        // with 6 local passes of 21 periods.
+        // bisection steps, with or without the error's peak search (a
+        // feasible problem never runs it). The slack argmax adds 269
+        // branch-and-bound samples to the scan and the peak takes 265;
+        // both then refine with 6 local passes of 21 periods.
         let p = paper_problem(Algorithm::EarliestDeadlineFirst);
         let config = RegionConfig::paper_figure4();
         let ctx = p.analysis_context().unwrap();
@@ -982,10 +1015,11 @@ mod tests {
         let counts = [
             count(&|| drop(sweep_region_with(&ctx, &config))),
             count(&|| drop(max_feasible_period_with(&ctx, &config))),
+            count(&|| drop(last_feasible_period_with(&ctx, &config))),
             count(&|| drop(max_slack_ratio_period_with(&ctx, &config))),
             count(&|| drop(max_admissible_overhead_with(&ctx, &config))),
         ];
-        assert_eq!(counts, [0, 92, 427, 391]);
+        assert_eq!(counts, [0, 92, 92, 427, 391]);
     }
 
     #[test]

@@ -52,17 +52,19 @@
 //! the proptest battery and the `ftsched bench --sim` bitwise gate check
 //! this engine against.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use ftsched_analysis::Algorithm;
 use ftsched_platform::cpu::CoreId;
 use ftsched_platform::{classify_outcome, ChannelLayout, FaultSchedule};
-use ftsched_task::{Duration, Mode, PerMode, SystemPartition, Task, TaskId, TaskSet, Time};
+use ftsched_task::{
+    Duration, Mode, PerMode, SystemPartition, Task, TaskId, TaskModelError, TaskSet, Time,
+};
 
 use crate::error::SimError;
-use crate::job::{release_jobs_into, Job, JobId};
+use crate::job::{merge_releases_into, Job, JobId, ReleaseStream};
 use crate::queue::ReadyQueue;
 use crate::report::{OutcomeCounts, SimulationReport};
 use crate::slot::{SlotSchedule, UsefulWindow};
@@ -110,11 +112,11 @@ pub struct ScheduleConfig {
 }
 
 /// Reusable scratch storage for [`Schedule::build`] and
-/// [`Schedule::classify`]: the per-job dispatch state of one build and
-/// the per-job fault marks of one classification, which
-/// [`Schedule::report`] reads back for the trace (plus the window/queue/
-/// completion buffers of the slot-stepping [`crate::reference`] engine,
-/// which shares the arena).
+/// [`Schedule::classify`]: the per-job dispatch state and the execution
+/// slices of one build, and the per-job fault marks of one
+/// classification, which [`Schedule::report`] reads back for the trace
+/// (plus the window/queue/completion buffers of the slot-stepping
+/// [`crate::reference`] engine, which shares the arena).
 ///
 /// A fresh arena is allocated by the convenience [`simulate`]; campaign
 /// kernels that run thousands of trials keep one arena per worker and
@@ -138,6 +140,16 @@ pub struct SimArena {
     completed_at: Vec<Option<Time>>,
     /// Fault-overlap flag per job of the classified schedule.
     fault_marks: Vec<bool>,
+    /// The execution slices of one build, all channels, before the
+    /// schedule copies them out.
+    spans: Vec<(Time, Time)>,
+    /// The job behind each entry of `spans`.
+    slice_jobs: Vec<u32>,
+    /// Per-task release streams of one channel's job merge.
+    streams: Vec<ReleaseStream>,
+    /// Per task of one channel (by priority index): its worst response
+    /// time, `None` until a job completes.
+    worst: Vec<Option<f64>>,
 }
 
 impl Default for SimArena {
@@ -154,6 +166,10 @@ impl Default for SimArena {
             remaining: Vec::new(),
             completed_at: Vec::new(),
             fault_marks: Vec::new(),
+            spans: Vec::new(),
+            slice_jobs: Vec::new(),
+            streams: Vec::new(),
+            worst: Vec::new(),
         }
     }
 }
@@ -406,6 +422,11 @@ impl Schedule {
             executed_time: PerMode::splat(0.0),
             stats: ChannelStats::default(),
         };
+        arena.spans.clear();
+        arena.slice_jobs.clear();
+        // One channel's tasks, borrowed, in the dispatcher's priority
+        // order (only meaningful for FP; EDF ignores the index).
+        let mut ordered: Vec<&Task> = Vec::new();
 
         for mode in Mode::ALL {
             let layout = ChannelLayout::canonical(mode);
@@ -415,36 +436,52 @@ impl Schedule {
                 if ids.is_empty() {
                     continue;
                 }
-                let channel_set = tasks.subset(ids)?;
-                let slices_start = schedule.spans.len();
+                ordered.clear();
+                for (i, &id) in ids.iter().enumerate() {
+                    if ids[..i].contains(&id) {
+                        return Err(TaskModelError::DuplicateTaskId { task: id }.into());
+                    }
+                    ordered.push(
+                        tasks
+                            .get(id)
+                            .ok_or(TaskModelError::UnknownTask { task: id })?,
+                    );
+                }
+                if let Some(order) = algorithm.priority_order() {
+                    ordered.sort_by(|a, b| order.compare(a, b));
+                }
+                let slices_start = arena.spans.len();
                 let job_base = u32::try_from(schedule.released_jobs)
                     .expect("a schedule indexes its jobs with u32");
-                let stats = simulate_channel(
-                    &channel_set,
-                    mode,
-                    algorithm,
-                    slots,
-                    horizon,
-                    job_base,
-                    arena,
-                    &mut schedule.spans,
-                    &mut schedule.slice_jobs,
-                );
+                let stats =
+                    simulate_channel(&ordered, mode, algorithm, slots, horizon, job_base, arena);
                 schedule.stats.add(stats);
 
-                for (job, &completion) in arena.jobs.iter().zip(&arena.completed_at) {
+                // Per task of the channel (`job.priority` is its index in
+                // `ordered`): the worst response time, and every response
+                // time in activation order when they are recorded.
+                let SimArena {
+                    jobs,
+                    completed_at,
+                    worst,
+                    ..
+                } = &mut *arena;
+                worst.clear();
+                worst.resize(ordered.len(), None);
+                let mut times: Vec<Vec<f64>> = match schedule.response_times {
+                    Some(_) => vec![Vec::new(); ordered.len()],
+                    None => Vec::new(),
+                };
+                for (job, &completion) in jobs.iter().zip(completed_at.iter()) {
                     if let Some(completion) = completion {
                         schedule.completed_jobs += 1;
                         let rt = completion.saturating_since(job.release).as_units();
-                        let entry = schedule
-                            .worst_response_times
-                            .entry(job.id.task)
-                            .or_insert(0.0);
+                        let entry = worst[job.priority].get_or_insert(0.0);
                         if rt > *entry {
                             *entry = rt;
                         }
-                        if let Some(map) = schedule.response_times.as_mut() {
-                            map.entry(job.id.task).or_default().push(rt);
+                        if let Some(times) = times.get_mut(job.priority) {
+                            times.push(rt);
                         }
                     }
                     let missed = match completion {
@@ -468,14 +505,35 @@ impl Schedule {
                         });
                     }
                 }
-                schedule.released_jobs += arena.jobs.len() as u64;
-                schedule.executed_time[mode] += schedule.spans[slices_start..]
+                for (task, &task_worst) in ordered.iter().zip(worst.iter()) {
+                    if let Some(rt) = task_worst {
+                        let entry = schedule.worst_response_times.entry(task.id).or_insert(0.0);
+                        if rt > *entry {
+                            *entry = rt;
+                        }
+                    }
+                }
+                if let Some(map) = schedule.response_times.as_mut() {
+                    for (task, times) in ordered.iter().zip(times) {
+                        if times.is_empty() {
+                            continue;
+                        }
+                        match map.entry(task.id) {
+                            btree_map::Entry::Vacant(entry) => {
+                                entry.insert(times);
+                            }
+                            btree_map::Entry::Occupied(entry) => entry.into_mut().extend(times),
+                        }
+                    }
+                }
+                schedule.released_jobs += jobs.len() as u64;
+                schedule.executed_time[mode] += arena.spans[slices_start..]
                     .iter()
                     .map(|&(start, end)| (end - start).as_units())
                     .sum::<f64>();
                 let bucket_shift = index_cycles(
                     slices_start,
-                    &schedule.spans,
+                    &arena.spans,
                     schedule.period,
                     schedule.horizon_ticks,
                     &mut schedule.cycle_index,
@@ -489,13 +547,15 @@ impl Schedule {
                         .fold(0, |mask, &core| mask | core_bit(core)),
                     offset: slots.slot_offset(mode).ticks(),
                     quantum: slots.useful_quantum(mode).ticks(),
-                    slices_end: schedule.spans.len(),
+                    slices_end: arena.spans.len(),
                     jobs_end: schedule.released_jobs as usize,
                     index_end: schedule.cycle_index.len(),
                     bucket_shift,
                 });
             }
         }
+        schedule.spans = arena.spans.clone();
+        schedule.slice_jobs = arena.slice_jobs.clone();
         Ok(schedule)
     }
 
@@ -741,9 +801,11 @@ fn index_cycles(
 }
 
 /// Simulates one channel of one mode over the horizon, appending its
-/// execution slices to `spans` and the job behind each (`job_base` plus
-/// the index into `arena.jobs`) to `slice_jobs`. Leaves the released
-/// jobs in `arena.jobs` and their completions in `arena.completed_at`.
+/// execution slices to `arena.spans` and the job behind each (`job_base`
+/// plus the index into `arena.jobs`) to `arena.slice_jobs`. Leaves the
+/// released jobs in `arena.jobs` and their completions in
+/// `arena.completed_at`. `ordered` lists the channel's tasks in priority
+/// order.
 ///
 /// Useful windows are derived on the fly from the cycle index: window `k`
 /// of a mode is `[kP + offset, kP + offset + Q̃)` clamped to the horizon,
@@ -753,32 +815,26 @@ fn index_cycles(
 /// queue is empty and the next release lies beyond the current window,
 /// the cycle index jumps straight to the first window whose useful part
 /// can run that release.
-#[allow(clippy::too_many_arguments)]
 fn simulate_channel(
-    channel_tasks: &TaskSet,
+    ordered: &[&Task],
     mode: Mode,
     algorithm: Algorithm,
     slots: &SlotSchedule,
     horizon: Duration,
     job_base: u32,
     arena: &mut SimArena,
-    spans: &mut Vec<(Time, Time)>,
-    slice_jobs: &mut Vec<u32>,
 ) -> ChannelStats {
-    // Order tasks by the dispatching policy's priority (only meaningful for
-    // FP; EDF ignores the index).
-    let ordered: Vec<Task> = match algorithm.priority_order() {
-        Some(order) => channel_tasks.sorted_by_priority(order),
-        None => channel_tasks.tasks().to_vec(),
-    };
     let SimArena {
         jobs,
         ready,
         remaining,
         completed_at,
+        spans,
+        slice_jobs,
+        streams,
         ..
     } = arena;
-    release_jobs_into(&ordered, horizon, jobs);
+    merge_releases_into(ordered, horizon, streams, jobs);
     ready.clear();
     remaining.clear();
     remaining.extend(jobs.iter().map(|j| j.wcet));

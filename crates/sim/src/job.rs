@@ -73,8 +73,9 @@ pub fn release_jobs(tasks: &[Task], horizon: Duration) -> Vec<Job> {
     jobs
 }
 
-/// [`release_jobs`] writing into a caller-owned buffer (cleared first):
-/// the allocation-free form used by the simulator arena.
+/// [`release_jobs`] writing into a caller-owned buffer (cleared first).
+/// It generates every task's jobs and sorts them; the reference engine
+/// keeps it, and it is the oracle of the event engine's merged release.
 pub fn release_jobs_into(tasks: &[Task], horizon: Duration, jobs: &mut Vec<Job>) {
     jobs.clear();
     let horizon_time = Time::ZERO + horizon;
@@ -90,6 +91,70 @@ pub fn release_jobs_into(tasks: &[Task], horizon: Duration, jobs: &mut Vec<Job>)
         }
     }
     jobs.sort_by_key(|j| (j.release, j.id.task));
+}
+
+/// One task's release stream in [`merge_releases_into`]: its tick
+/// parameters, converted once, and its next job.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReleaseStream {
+    task: TaskId,
+    priority: usize,
+    period: Duration,
+    deadline: Duration,
+    wcet: Duration,
+    activation: u64,
+    release: Time,
+}
+
+/// [`release_jobs_into`] over borrowed tasks, without the sort: the
+/// per-task release streams are already in release order, so merging
+/// them in (release, task) order yields the same jobs in the same order
+/// (no two jobs share both keys). `streams` is scratch space.
+pub(crate) fn merge_releases_into(
+    tasks: &[&Task],
+    horizon: Duration,
+    streams: &mut Vec<ReleaseStream>,
+    jobs: &mut Vec<Job>,
+) {
+    jobs.clear();
+    streams.clear();
+    streams.extend(
+        tasks
+            .iter()
+            .enumerate()
+            .map(|(priority, task)| ReleaseStream {
+                task: task.id,
+                priority,
+                period: task.period_ticks(),
+                deadline: task.deadline_ticks(),
+                wcet: task.wcet_ticks(),
+                activation: 0,
+                release: Time::ZERO,
+            }),
+    );
+    let horizon = Time::ZERO + horizon;
+    // Streams past the horizon leave the list; the few left are scanned
+    // for the earliest next job.
+    streams.retain(|s| s.release < horizon);
+    while let Some(at) = (0..streams.len()).min_by_key(|&i| (streams[i].release, streams[i].task)) {
+        let next = &mut streams[at];
+        jobs.push(Job {
+            id: JobId {
+                task: next.task,
+                activation: next.activation,
+            },
+            release: next.release,
+            deadline: next.release + next.deadline,
+            wcet: next.wcet,
+            remaining: next.wcet,
+            priority: next.priority,
+        });
+        next.activation += 1;
+        next.release = Time::ZERO + next.period * next.activation;
+        if next.release >= horizon {
+            streams.swap_remove(at);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +202,31 @@ mod tests {
         // Sorted by release time.
         for pair in jobs.windows(2) {
             assert!(pair[0].release <= pair[1].release);
+        }
+    }
+
+    #[test]
+    fn merged_releases_equal_the_sorted_ones() {
+        // Equal releases across tasks (0, 12, 24), tasks listed out of id
+        // order (priority order), a task whose first release is past the
+        // horizon, and a fractional period.
+        let tasks = [
+            task(3, 1.0, 6.0),
+            task(1, 1.0, 4.0),
+            task(2, 0.5, 12.0),
+            task(4, 1.0, 40.0),
+            task(5, 0.1, 2.5),
+            Task::constrained_deadline(6, 0.2, 3.0, 2.0, Mode::FailSilent).unwrap(),
+        ];
+        for horizon in [0.0, 1.0, 12.0, 12.5, 30.0, 100.0] {
+            let horizon = Duration::from_units(horizon);
+            for count in 0..=tasks.len() {
+                let owned = &tasks[..count];
+                let borrowed: Vec<&Task> = owned.iter().collect();
+                let mut merged = Vec::new();
+                merge_releases_into(&borrowed, horizon, &mut Vec::new(), &mut merged);
+                assert_eq!(merged, release_jobs(owned, horizon), "{count} tasks");
+            }
         }
     }
 

@@ -22,6 +22,25 @@ pub enum PriorityOrder {
     DeadlineMonotonic,
 }
 
+impl PriorityOrder {
+    /// `Less` when `a` has the higher priority: the shorter period (RM)
+    /// or relative deadline (DM), ties broken by task identifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite period or deadline, which a validated task
+    /// never has.
+    pub fn compare(self, a: &Task, b: &Task) -> std::cmp::Ordering {
+        let (x, y) = match self {
+            PriorityOrder::RateMonotonic => (a.period, b.period),
+            PriorityOrder::DeadlineMonotonic => (a.deadline, b.deadline),
+        };
+        x.partial_cmp(&y)
+            .expect("validated periods and deadlines are finite")
+            .then(a.id.cmp(&b.id))
+    }
+}
+
 /// An immutable, validated collection of sporadic tasks.
 ///
 /// A `TaskSet` may mix tasks of different modes (the whole application) or
@@ -184,20 +203,7 @@ impl TaskSet {
     /// order is deterministic.
     pub fn sorted_by_priority(&self, order: PriorityOrder) -> Vec<Task> {
         let mut sorted = self.tasks.clone();
-        match order {
-            PriorityOrder::RateMonotonic => sorted.sort_by(|a, b| {
-                a.period
-                    .partial_cmp(&b.period)
-                    .expect("validated periods are finite")
-                    .then(a.id.cmp(&b.id))
-            }),
-            PriorityOrder::DeadlineMonotonic => sorted.sort_by(|a, b| {
-                a.deadline
-                    .partial_cmp(&b.deadline)
-                    .expect("validated deadlines are finite")
-                    .then(a.id.cmp(&b.id))
-            }),
-        }
+        sorted.sort_by(|a, b| order.compare(a, b));
         sorted
     }
 

@@ -5,15 +5,20 @@
 //! generation and partitioning stages across scenarios, and the shared
 //! path produces **byte-identical** JSON and CSV reports to the uncached
 //! reference path (`--no-design-cache`), at any thread/block
-//! configuration. Mirrors `tests/campaign_design_cache.rs`, which proves
-//! the same contract for the paper workload's design stage.
+//! configuration, with the same deterministic counters. The entries also
+//! carry the analysis every scenario of a task set shares: the static
+//! baseline verdicts per algorithm and the analysis context per
+//! (partition, algorithm), which each overhead reads. Mirrors
+//! `tests/campaign_design_cache.rs`, which proves the same contract for
+//! the paper workload's design stage.
 
 use ftsched_campaign::prelude::*;
 
 /// A synthetic validation campaign that sweeps every axis the caches
 /// key on: two algorithms, two overheads, two heuristics, plus response
 /// histograms (so the cached RNG hand-off is exercised through the
-/// fault draw and the simulation stage).
+/// fault draw and the simulation stage) and WCET margins (whose scratch
+/// rescale copies the shared context's sweeps on its first write).
 fn widened_synthetic_campaign() -> CampaignSpec {
     CampaignSpec {
         master_seed: 99,
@@ -45,41 +50,69 @@ fn widened_synthetic_campaign() -> CampaignSpec {
             bin_width: 0.5,
             bins: 64,
         }),
+        wcet_margin: Some(WcetMarginSpec { tolerance: 0.01 }),
         ..CampaignSpec::base("synthetic-cache-proof")
     }
 }
 
-fn run(spec: &CampaignSpec, threads: usize, block_size: usize, cache: bool) -> (String, String) {
-    let report = run_campaign(
-        spec,
-        &ExecutorConfig {
-            threads,
-            block_size,
-            progress: false,
-            heartbeat: false,
-            design_cache: cache,
-        },
-    )
-    .unwrap();
-    (report.to_json(), report.to_csv())
+/// One run's JSON and CSV reports and the metrics it recorded.
+fn run(
+    spec: &CampaignSpec,
+    threads: usize,
+    block_size: usize,
+    cache: bool,
+) -> (String, String, RunMetrics) {
+    let config = ExecutorConfig {
+        threads,
+        block_size,
+        progress: false,
+        heartbeat: false,
+        design_cache: cache,
+    };
+    let (report, metrics) = run_campaign_recorded(spec, &config, None).unwrap();
+    (report.to_json(), report.to_csv(), metrics)
 }
 
 #[test]
 fn cached_synthetic_campaign_reports_are_byte_identical_to_uncached() {
     let spec = widened_synthetic_campaign();
-    let (reference_json, reference_csv) = run(&spec, 1, 32, false);
-
-    for (threads, block_size) in [(1, 32), (4, 5), (8, 1), (2, 7)] {
-        let (json, csv) = run(&spec, threads, block_size, true);
-        assert_eq!(
-            json, reference_json,
-            "cached JSON diverged (threads={threads}, block={block_size})"
-        );
-        assert_eq!(
-            csv, reference_csv,
-            "cached CSV diverged (threads={threads}, block={block_size})"
-        );
+    for reference_threads in [1, 2] {
+        let (reference_json, reference_csv, reference) = run(&spec, reference_threads, 32, false);
+        for (threads, block_size) in [(1, 32), (4, 5), (8, 1), (2, 7)] {
+            let (json, csv, cached) = run(&spec, threads, block_size, true);
+            let config = format!(
+                "threads={threads}, block={block_size}, uncached threads={reference_threads}"
+            );
+            assert_eq!(json, reference_json, "cached JSON diverged ({config})");
+            assert_eq!(csv, reference_csv, "cached CSV diverged ({config})");
+            assert_eq!(
+                cached.counters, reference.counters,
+                "cached counters diverged ({config})"
+            );
+        }
     }
+}
+
+#[test]
+fn a_cached_run_builds_one_context_per_set_heuristic_and_algorithm() {
+    // Uncached, every trial that reaches the design stage enumerates its
+    // own context; cached, the first overhead of a (set, heuristic,
+    // algorithm) builds it and the others share it. At 1 thread no two
+    // workers race on a fresh entry, so the sweep builds (one per
+    // non-empty channel of a context) divide exactly by the overheads.
+    let spec = widened_synthetic_campaign();
+    let (_, _, uncached) = run(&spec, 1, 32, false);
+    let (_, _, cached) = run(&spec, 1, 32, true);
+    let builds = cached.timing.sweep_builds;
+    assert!(builds > 0);
+    assert_eq!(
+        uncached.timing.sweep_builds,
+        builds * spec.overheads.len() as u64,
+        "uncached {} vs cached {builds} sweep builds",
+        uncached.timing.sweep_builds
+    );
+    // The same trials reached the design stage either way.
+    assert_eq!(cached.counters, uncached.counters);
 }
 
 #[test]
@@ -88,13 +121,15 @@ fn cached_design_only_campaign_matches_uncached() {
         kind: TrialKind::DesignOnly,
         faults: FaultModel::None,
         response_histogram: None,
+        wcet_margin: None,
         trials_per_scenario: 16,
         ..widened_synthetic_campaign()
     };
-    let (reference_json, reference_csv) = run(&spec, 1, 32, false);
-    let (json, csv) = run(&spec, 4, 3, true);
+    let (reference_json, reference_csv, reference) = run(&spec, 1, 32, false);
+    let (json, csv, cached) = run(&spec, 4, 3, true);
     assert_eq!(json, reference_json);
     assert_eq!(csv, reference_csv);
+    assert_eq!(cached.counters, reference.counters);
 }
 
 #[test]

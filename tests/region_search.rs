@@ -7,7 +7,9 @@
 //!
 //! The searches skip every sample their bounds rule out, so they must
 //! return exactly what the oracle returns: the same `f64` bits for every
-//! answer, and the same error (peak included) for every rejection.
+//! answer, and the same error (peak included) for every rejection. The
+//! feasibility-only [`last_feasible_period_with`] must answer as
+//! `max_feasible_period_with(..).ok()` does, from no more samples.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,8 +18,8 @@ use rand::SeedableRng;
 use ftsched_analysis::Algorithm;
 use ftsched_design::partitioner::{partition_system, PartitionHeuristic};
 use ftsched_design::region::{
-    max_admissible_overhead_with, max_feasible_period_with, max_slack_ratio_period_with,
-    sweep_region_with, RegionConfig, RegionPoint,
+    last_feasible_period_with, max_admissible_overhead_with, max_feasible_period_with,
+    max_slack_ratio_period_with, sweep_region_with, RegionConfig, RegionPoint,
 };
 use ftsched_design::{AnalysisContext, DesignError, DesignProblem};
 use ftsched_task::generator::{generate_taskset, GeneratorConfig};
@@ -145,6 +147,7 @@ fn assert_searches_match(ctx: &AnalysisContext, config: &RegionConfig) {
         exact(&Ok(oracle_max_admissible_overhead(ctx, config)), point_bits),
         "max_admissible_overhead_with, {config:?}"
     );
+    assert_feasibility_only_matches(ctx, config);
     // With no refinement the feasible-period search returns the last
     // feasible sample itself.
     let coarse = RegionConfig {
@@ -156,6 +159,36 @@ fn assert_searches_match(ctx: &AnalysisContext, config: &RegionConfig) {
         exact(&oracle_max_feasible_period(ctx, &coarse), period),
         "last feasible sample, {coarse:?}"
     );
+}
+
+/// The `f(P)` evaluations `search` makes, read from a run-scoped recorder.
+fn evaluations<T>(search: impl FnOnce() -> T) -> (T, u64) {
+    let run = ftsched_obs::Recorder::new();
+    let result = {
+        let _current = run.enter();
+        search()
+    };
+    (result, run.snapshot().timing.region_evaluations)
+}
+
+/// The feasibility-only search answers as the full one does, bit for bit,
+/// and never evaluates more of the curve (on a rejection it skips the
+/// peak search).
+fn assert_feasibility_only_matches(ctx: &AnalysisContext, config: &RegionConfig) {
+    let (full, full_evaluations) = evaluations(|| max_feasible_period_with(ctx, config));
+    let (only, only_evaluations) = evaluations(|| last_feasible_period_with(ctx, config));
+    assert_eq!(
+        only.unwrap().map(f64::to_bits),
+        full.as_ref().ok().map(|p| p.to_bits()),
+        "last_feasible_period_with, {config:?}"
+    );
+    assert!(
+        only_evaluations <= full_evaluations,
+        "{only_evaluations} > {full_evaluations} evaluations, {config:?}"
+    );
+    if full.is_ok() {
+        assert_eq!(only_evaluations, full_evaluations, "{config:?}");
+    }
 }
 
 fn context(
