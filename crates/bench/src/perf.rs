@@ -76,8 +76,9 @@ pub struct BenchEntry {
 /// and cache traffic. Each case runs in a recorder of its own, so the
 /// counts are the case's alone; they cover every calibration batch plus
 /// every measurement batch — `total_iters` iterations in all — so divide
-/// by `total_iters` for per-iteration rates. Work an admission engine
-/// does counts into the engine's recorder, not the case's. Attached to
+/// by `total_iters` for per-iteration rates. A case's admission engine is
+/// created inside the case's recorder and dropped before it is read, so
+/// the engine's work counts as the case's. Attached to
 /// `BENCH_*.json` entries only; the perf contracts
 /// ([`check_minq_contract`], [`check_sensitivity_contract`]) read
 /// exclusively from `derived` and are unaffected.
@@ -97,7 +98,7 @@ pub struct BenchStages {
     /// Execution slices scheduled by the simulator.
     pub sim_slices: u64,
     /// Memo-cache hits summed over the design/generation/partition
-    /// caches.
+    /// caches and the admission engine's admission/context caches.
     pub cache_hits: u64,
     /// Memo-cache misses summed over the same caches.
     pub cache_misses: u64,
@@ -111,6 +112,8 @@ impl BenchStages {
             &m.timing.design_cache,
             &m.timing.generation_cache,
             &m.timing.partition_cache,
+            &m.timing.serve_admission_cache,
+            &m.timing.serve_context_cache,
         ];
         BenchStages {
             total_iters,
@@ -233,10 +236,22 @@ fn time_ns(quick: bool, mut f: impl FnMut()) -> Measurement {
 }
 
 fn entry(entries: &mut Vec<BenchEntry>, name: impl Into<String>, quick: bool, f: impl FnMut()) {
+    entry_with(entries, name, quick, || f);
+}
+
+/// [`entry`] for a case whose state counts as its work: `setup` builds
+/// the timed closure inside the case's recorder, and the closure (with
+/// everything it owns) drops before the recorder is read.
+fn entry_with<F: FnMut()>(
+    entries: &mut Vec<BenchEntry>,
+    name: impl Into<String>,
+    quick: bool,
+    setup: impl FnOnce() -> F,
+) {
     let recorder = ftsched_obs::Recorder::new();
     let m = {
         let _current = recorder.enter();
-        time_ns(quick, f)
+        time_ns(quick, setup())
     };
     entries.push(BenchEntry {
         name: name.into(),
@@ -950,11 +965,14 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
 
     // Steady state: the decision is memoised, a request costs request
     // validation + a verified cache hit.
-    let hot_engine = AdmissionEngine::new(EngineConfig::default());
     let hot_request = serve_request(1, DesignGoal::MinimizeOverheadBandwidth, 0.02);
-    std::hint::black_box(hot_engine.admit(&hot_request));
-    entry(&mut entries, "serve_admit_cached_hot", quick, || {
-        std::hint::black_box(hot_engine.admit(&hot_request));
+    let request = &hot_request;
+    entry_with(&mut entries, "serve_admit_cached_hot", quick, || {
+        let engine = AdmissionEngine::new(EngineConfig::default());
+        std::hint::black_box(engine.admit(request));
+        move || {
+            std::hint::black_box(engine.admit(request));
+        }
     });
     let hot_ns = entries.last().unwrap().ns_per_iter;
     derived.push(DerivedMetric {
@@ -964,12 +982,14 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
 
     // Cold path: caches disabled, every request pays partitioning, the
     // minQ enumeration and the feasible-period search.
-    let cold_engine = AdmissionEngine::new(EngineConfig {
-        cache: false,
-        ..EngineConfig::default()
-    });
-    entry(&mut entries, "serve_admit_cold", quick, || {
-        std::hint::black_box(cold_engine.admit(&hot_request));
+    entry_with(&mut entries, "serve_admit_cold", quick, || {
+        let engine = AdmissionEngine::new(EngineConfig {
+            cache: false,
+            ..EngineConfig::default()
+        });
+        move || {
+            std::hint::black_box(engine.admit(request));
+        }
     });
     let cold_ns = entries.last().unwrap().ns_per_iter;
     derived.push(DerivedMetric {
@@ -985,15 +1005,18 @@ pub fn run_serve_bench(quick: bool) -> BenchReport {
     // transcript encode, over a warmed engine.
     let log_lines: usize = if quick { 64 } else { 256 };
     let log = serve_exchange_log(log_lines);
-    let replay_engine = AdmissionEngine::new(EngineConfig::default());
-    entry(
+    entry_with(
         &mut entries,
         format!("serve_replay_exchange/{log_lines}"),
         quick,
         || {
-            let mut transcript = Vec::new();
-            ftsched_serve::replay(&replay_engine, &log, &mut transcript, 32).unwrap();
-            std::hint::black_box(transcript);
+            let engine = AdmissionEngine::new(EngineConfig::default());
+            let log = &log;
+            move || {
+                let mut transcript = Vec::new();
+                ftsched_serve::replay(&engine, log, &mut transcript, 32).unwrap();
+                std::hint::black_box(transcript);
+            }
         },
     );
     let replay_ns = entries.last().unwrap().ns_per_iter;
@@ -1254,6 +1277,24 @@ mod tests {
                 assert!(e.stages.sim_windows > 0, "{}", e.name);
             }
         }
+    }
+
+    #[test]
+    fn serve_entries_count_their_engines_work() {
+        let report = run_serve_bench(true);
+        assert_eq!(report.derived("serve_replay_deterministic"), Some(1.0));
+        let stages = |name: &str| {
+            let entry = report.entries.iter().find(|e| e.name == name).unwrap();
+            entry.stages.clone()
+        };
+        // Caches off: every admission partitions and builds its
+        // context's sweeps again.
+        let cold = stages("serve_admit_cold");
+        assert!(cold.sweep_builds >= cold.total_iters, "{cold:?}");
+        assert!(cold.cache_misses >= cold.total_iters, "{cold:?}");
+        // The warm-up decision misses; every timed one hits.
+        let hot = stages("serve_admit_cached_hot");
+        assert_eq!(hot.cache_hits, hot.total_iters, "{hot:?}");
     }
 
     #[test]

@@ -470,6 +470,12 @@ impl TrialCaches {
         // (algorithm, overhead) combination.
         let gen_uses = algorithms * overheads * heuristics;
         let partition_uses = algorithms * overheads;
+        // A grid whose only shared axis is the algorithm reads each set
+        // once per algorithm, and a hit there (clone, hash, compare, two
+        // locks) costs about what regenerating and repartitioning the
+        // set does, so both caches wait for an overhead or heuristic
+        // axis.
+        let synthetic = synthetic && overheads * heuristics > 1;
         TrialCaches {
             design: TrialDesignCache::new(enabled).with_stats(|m| &m.design_cache),
             gen: MemoCache::with_limits(
@@ -1106,5 +1112,27 @@ mod tests {
         assert!(caches.design.enabled());
         assert!(!caches.gen.enabled());
         assert!(!caches.partition.enabled());
+    }
+
+    #[test]
+    fn algorithm_only_grids_disable_the_synthetic_caches() {
+        let algorithms = vec![Algorithm::EarliestDeadlineFirst, Algorithm::RateMonotonic];
+        let spec = CampaignSpec {
+            algorithms: algorithms.clone(),
+            overheads: vec![0.05],
+            partition_heuristics: vec![],
+            ..validate_spec()
+        };
+        let caches = TrialCaches::new(&spec, true);
+        assert!(!caches.gen.enabled());
+        assert!(!caches.partition.enabled());
+        // A second overhead or heuristic makes entries worth keeping.
+        let spec = CampaignSpec {
+            algorithms,
+            overheads: vec![0.02, 0.05],
+            ..validate_spec()
+        };
+        let caches = TrialCaches::new(&spec, true);
+        assert!(caches.gen.enabled() && caches.partition.enabled());
     }
 }

@@ -196,7 +196,9 @@ OPTIONS (serve):
     --out <FILE>        replay transcript destination (default: stdout)
     --socket <PATH>     bind a unix socket and serve every connection
                         (default: one framed stream on stdin/stdout)
-    --batch-size <N>    requests decided per replay batch (default: 32)
+    --batch-size <N>    requests decided per replay batch (default: 32);
+                        a batch is decided by min(cores, N) workers, and
+                        the next batch starts once all of it is decided
     --max-frame-bytes <N>
                         frame payload cap; oversized prefixes get a
                         structured error response (default: 1048576)

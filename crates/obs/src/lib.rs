@@ -550,16 +550,20 @@ impl Drop for Span {
 #[derive(Debug)]
 #[must_use = "the recorder is current only while the guard lives"]
 pub struct Entered {
-    previous: Option<Arc<Recorder>>,
+    /// The recorder to restore, `None` when the entered recorder was
+    /// already current (the guard then changes nothing).
+    previous: Option<Option<Arc<Recorder>>>,
     _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for Entered {
     fn drop(&mut self) {
-        // Swap first, drop after: releasing the entered handle may
-        // finish its recorder, which folds into the parent.
-        let entered = CURRENT.with(|c| c.replace(self.previous.take()));
-        drop(entered);
+        if let Some(previous) = self.previous.take() {
+            // Swap first, drop after: releasing the entered handle may
+            // finish its recorder, which folds into the parent.
+            let entered = CURRENT.with(|c| c.replace(previous));
+            drop(entered);
+        }
     }
 }
 
@@ -574,10 +578,18 @@ impl Recorder {
     }
 
     /// Makes this recorder current on the calling thread until the
-    /// returned guard drops. Guards nest.
+    /// returned guard drops. Guards nest. Entering the recorder that is
+    /// already current touches neither the thread's slot nor the
+    /// recorder's reference count, so a thread that keeps one recorder
+    /// entered can re-enter it per operation at no shared cost.
     pub fn enter(self: &Arc<Self>) -> Entered {
+        let previous = CURRENT.with(|c| {
+            let mut current = c.borrow_mut();
+            let entered = current.as_ref().is_some_and(|r| Arc::ptr_eq(r, self));
+            (!entered).then(|| current.replace(Arc::clone(self)))
+        });
         Entered {
-            previous: CURRENT.with(|c| c.replace(Some(Arc::clone(self)))),
+            previous,
             _thread_bound: PhantomData,
         }
     }
@@ -980,6 +992,21 @@ mod tests {
         }
         record(|m| m.sim_events.add(2));
         assert_eq!(b.snapshot().counters.sim_events, 1);
+        assert_eq!(a.snapshot().counters.sim_events, 2);
+    }
+
+    #[test]
+    fn re_entering_the_current_recorder_changes_nothing() {
+        let a = Recorder::new();
+        let _in_a = a.enter();
+        let handles = Arc::strong_count(&a);
+        {
+            let _again = a.enter();
+            assert_eq!(Arc::strong_count(&a), handles);
+            record(|m| m.sim_events.incr());
+        }
+        // Dropping the inner guard left `a` current.
+        record(|m| m.sim_events.incr());
         assert_eq!(a.snapshot().counters.sim_events, 2);
     }
 

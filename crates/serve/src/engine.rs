@@ -256,6 +256,13 @@ impl AdmissionEngine {
         }
     }
 
+    /// Makes the engine's recorder current on the calling thread until
+    /// the guard drops: a thread that decides many requests enters it
+    /// once, and each [`Self::admit`] then finds it already current.
+    pub(crate) fn enter(&self) -> ftsched_obs::Entered {
+        self.recorder.enter()
+    }
+
     /// Decides one request, recording its latency. The response is a
     /// pure function of the request: caches and timing can change how
     /// fast the answer arrives, never what it says.

@@ -14,13 +14,18 @@
 //!   paper's pipeline behind two memo tables — an **admission cache**
 //!   keyed on the task set's content hash × goal × overhead bits, and a
 //!   **hot-context cache** sharing one prepared [`ftsched_design::AnalysisContext`]
-//!   across goals of the same platform configuration. A batch is decided
-//!   request by request; concurrency comes from serving connections on
-//!   threads of their own.
+//!   across goals of the same platform configuration. The engine is
+//!   shared by reference: socket connections and replay workers decide
+//!   on it concurrently.
 //! * [`server`] — the service loops: a framed stream loop, a
-//!   multi-client unix-socket accept loop, and the deterministic
-//!   [`server::replay`] mode whose response transcript is byte-identical
-//!   at any batch size (the golden-file and CI contract).
+//!   multi-client unix-socket accept loop (one thread per connection),
+//!   and the deterministic [`server::replay`] mode whose response
+//!   transcript is byte-identical at any batch size (the golden-file and
+//!   CI contract). Replay decides each batch on a pool of
+//!   `min(available_parallelism, batch_size)` workers spawned once per
+//!   call; the batch edge is a barrier, so the next batch starts only
+//!   when every response of this one is decided, and the calling thread
+//!   writes the responses in request order.
 //!
 //! ## Determinism contract
 //!

@@ -68,3 +68,44 @@ fn replay_reproduces_the_golden_transcript_at_any_batch_size() {
     assert!(summary.latency_p50_us <= summary.latency_p95_us);
     assert!(summary.latency_p95_us <= summary.latency_p99_us);
 }
+
+#[test]
+fn workers_racing_on_the_same_fresh_keys_answer_every_line_in_order() {
+    // Forty copies of the log: every batch of 3 or more holds repeats
+    // of one task set, so the pool's workers decide the same fresh keys
+    // at the same time.
+    let log = repo_file("examples/serve_requests.jsonl").repeat(40);
+    let golden = repo_file("tests/golden/serve_transcript.jsonl").repeat(40);
+
+    let mut lookups = None;
+    for cache in [true, false] {
+        for batch_size in [1, 3, 32, 256] {
+            let engine = AdmissionEngine::new(EngineConfig {
+                cache,
+                ..EngineConfig::default()
+            });
+            let mut out = Vec::new();
+            let stats = replay(&engine, &log, &mut out, batch_size).unwrap();
+            assert_eq!((stats.requests, stats.responses), (360, 360));
+            assert!(
+                String::from_utf8(out).unwrap() == golden,
+                "transcript diverged at batch size {batch_size}, caches {cache}"
+            );
+            let summary = engine.summary();
+            assert_eq!(summary.requests, 360);
+            assert_eq!(summary.admitted, 240);
+            assert_eq!(summary.rejected, 40);
+            assert_eq!(summary.errors, 80);
+            assert_eq!(summary.latency_samples, 320);
+            // Racing workers may both miss one fresh key, so only the
+            // number of lookups is fixed: one per decided request whose
+            // task set is valid.
+            let sum = summary.admission_cache_hits + summary.admission_cache_misses;
+            assert_eq!(
+                *lookups.get_or_insert(sum),
+                sum,
+                "batch size {batch_size}, caches {cache}"
+            );
+        }
+    }
+}
