@@ -13,7 +13,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
@@ -198,11 +198,10 @@ struct Pool<'a> {
     lines: &'a [&'a str],
     batch_size: usize,
     workers: usize,
-    /// The next line to claim.
+    /// The next line to claim; `usize::MAX` once the transcript cannot
+    /// be completed, so claims fail and workers only cross the
+    /// remaining batch edges.
     next: AtomicUsize,
-    /// Set once the transcript cannot be completed: claims fail from
-    /// then on, and workers only cross the remaining batch edges.
-    aborted: AtomicBool,
     /// Each line's answer, from the worker that claimed it until the
     /// calling thread writes it.
     answers: Vec<Mutex<Option<Answer>>>,
@@ -221,7 +220,6 @@ impl<'a> Pool<'a> {
             batch_size,
             workers,
             next: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
             answers: lines.iter().map(|_| Mutex::new(None)).collect(),
             edge: Barrier::new(workers),
         }
@@ -245,7 +243,7 @@ impl<'a> Pool<'a> {
             }
             if writing && !at_edge(start..end) {
                 writing = false;
-                self.aborted.store(true, Ordering::Relaxed);
+                self.next.store(usize::MAX, Ordering::Relaxed);
             }
         }
     }
@@ -253,9 +251,6 @@ impl<'a> Pool<'a> {
     /// Claims the next unclaimed line before `end`, the current batch's
     /// end.
     fn claim(&self, end: usize) -> Option<usize> {
-        if self.aborted.load(Ordering::Relaxed) {
-            return None;
-        }
         self.next
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |i| {
                 (i < end).then_some(i + 1)
@@ -315,7 +310,7 @@ mod tests {
         let first: Vec<usize> = std::iter::from_fn(|| pool.claim(4)).collect();
         assert_eq!(first, [0, 1, 2, 3]);
         assert_eq!(pool.claim(8), Some(4));
-        pool.aborted.store(true, Ordering::Relaxed);
+        pool.next.store(usize::MAX, Ordering::Relaxed);
         assert_eq!(pool.claim(8), None);
     }
 
