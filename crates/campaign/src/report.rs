@@ -126,21 +126,19 @@ impl ScenarioReport {
 // their axis is explicit, so reports of pre-axis specs do not change by
 // a byte. Field order otherwise matches the old derive output.
 impl Serialize for ScenarioReport {
-    fn to_value(&self) -> serde::Value<'_> {
-        let mut fields = Vec::with_capacity(6);
-        fields.extend([
-            ("scenario".into(), self.scenario.to_value()),
-            ("algorithm".into(), self.algorithm.to_value()),
-            ("utilization".into(), self.utilization.to_value()),
-        ]);
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("scenario", &self.scenario);
+        out.field("algorithm", &self.algorithm);
+        out.field("utilization", &self.utilization);
         if let Some(overhead) = &self.overhead {
-            fields.push(("overhead".into(), overhead.to_value()));
+            out.field("overhead", overhead);
         }
         if let Some(heuristic) = &self.partition_heuristic {
-            fields.push(("partition_heuristic".into(), heuristic.to_value()));
+            out.field("partition_heuristic", heuristic);
         }
-        fields.push(("stats".into(), self.stats.to_value()));
-        serde::Value::Map(fields)
+        out.field("stats", &self.stats);
+        out.end_map();
     }
 }
 
@@ -220,24 +218,20 @@ pub struct CampaignReport {
 // statistics at serialisation time — deserialisation recomputes it — so
 // shard-merged reports reproduce it byte-identically for free.
 impl Serialize for CampaignReport {
-    fn to_value(&self) -> serde::Value<'_> {
-        let mut fields = Vec::with_capacity(5);
-        fields.extend([
-            ("spec".into(), self.spec.to_value()),
-            ("scenarios".into(), self.scenarios.to_value()),
-        ]);
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("spec", &self.spec);
+        out.field("scenarios", &self.scenarios);
         if let Some(points) = self.pooled_latency_curve() {
-            // Computed here rather than read from `self`, so its tree
-            // cannot borrow and owns its (few) keys instead.
-            fields.push(("latency_curve".into(), points.to_value().into_owned()));
+            out.field("latency_curve", &points);
         }
         if let Some(shard) = &self.shard {
-            fields.push(("shard".into(), shard.to_value()));
+            out.field("shard", shard);
         }
         if !self.missing_shards.is_empty() {
-            fields.push(("missing_shards".into(), self.missing_shards.to_value()));
+            out.field("missing_shards", &self.missing_shards);
         }
-        serde::Value::Map(fields)
+        out.end_map();
     }
 }
 

@@ -228,61 +228,40 @@ pub struct CampaignSpec {
 // defaults, and tolerated as absent on the way in. The field order
 // matches the declaration order, exactly as the derive would emit.
 impl Serialize for CampaignSpec {
-    fn to_value(&self) -> serde::Value<'_> {
-        // Sized for every optional field: one allocation.
-        let mut fields = Vec::with_capacity(21);
-        fields.extend([
-            ("name".into(), self.name.to_value()),
-            ("master_seed".into(), self.master_seed.to_value()),
-            (
-                "trials_per_scenario".into(),
-                self.trials_per_scenario.to_value(),
-            ),
-            ("workload".into(), self.workload.to_value()),
-            ("algorithms".into(), self.algorithms.to_value()),
-            ("utilizations".into(), self.utilizations.to_value()),
-            (
-                "partition_heuristic".into(),
-                self.partition_heuristic.to_value(),
-            ),
-            ("total_overhead".into(), self.total_overhead.to_value()),
-            ("goal".into(), self.goal.to_value()),
-            ("slack_policy".into(), self.slack_policy.to_value()),
-            ("faults".into(), self.faults.to_value()),
-            (
-                "horizon_hyperperiods".into(),
-                self.horizon_hyperperiods.to_value(),
-            ),
-            ("kind".into(), self.kind.to_value()),
-            (
-                "compare_baselines".into(),
-                self.compare_baselines.to_value(),
-            ),
-            ("region_samples".into(), self.region_samples.to_value()),
-            (
-                "region_refine_iterations".into(),
-                self.region_refine_iterations.to_value(),
-            ),
-        ]);
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("name", &self.name);
+        out.field("master_seed", &self.master_seed);
+        out.field("trials_per_scenario", &self.trials_per_scenario);
+        out.field("workload", &self.workload);
+        out.field("algorithms", &self.algorithms);
+        out.field("utilizations", &self.utilizations);
+        out.field("partition_heuristic", &self.partition_heuristic);
+        out.field("total_overhead", &self.total_overhead);
+        out.field("goal", &self.goal);
+        out.field("slack_policy", &self.slack_policy);
+        out.field("faults", &self.faults);
+        out.field("horizon_hyperperiods", &self.horizon_hyperperiods);
+        out.field("kind", &self.kind);
+        out.field("compare_baselines", &self.compare_baselines);
+        out.field("region_samples", &self.region_samples);
+        out.field("region_refine_iterations", &self.region_refine_iterations);
         if !self.overheads.is_empty() {
-            fields.push(("overheads".into(), self.overheads.to_value()));
+            out.field("overheads", &self.overheads);
         }
         if !self.partition_heuristics.is_empty() {
-            fields.push((
-                "partition_heuristics".into(),
-                self.partition_heuristics.to_value(),
-            ));
+            out.field("partition_heuristics", &self.partition_heuristics);
         }
         if let Some(histogram) = &self.response_histogram {
-            fields.push(("response_histogram".into(), histogram.to_value()));
+            out.field("response_histogram", histogram);
         }
         if let Some(margin) = &self.wcet_margin {
-            fields.push(("wcet_margin".into(), margin.to_value()));
+            out.field("wcet_margin", margin);
         }
         if let Some(latency) = &self.latency_curves {
-            fields.push(("latency_curves".into(), latency.to_value()));
+            out.field("latency_curves", latency);
         }
-        serde::Value::Map(fields)
+        out.end_map();
     }
 }
 

@@ -401,44 +401,30 @@ pub struct SimAggregate {
 // pre-histogram reports); everything else matches the derive's output
 // field for field.
 impl Serialize for SimAggregate {
-    fn to_value(&self) -> serde::Value<'_> {
-        let mut fields = Vec::with_capacity(15);
-        fields.extend([
-            ("runs".into(), self.runs.to_value()),
-            ("released_jobs".into(), self.released_jobs.to_value()),
-            ("completed_jobs".into(), self.completed_jobs.to_value()),
-            ("deadline_misses".into(), self.deadline_misses.to_value()),
-            ("injected_faults".into(), self.injected_faults.to_value()),
-            ("effective_faults".into(), self.effective_faults.to_value()),
-            ("outcomes".into(), self.outcomes.to_value()),
-            ("sum_period".into(), self.sum_period.to_value()),
-            (
-                "sum_slack_bandwidth".into(),
-                self.sum_slack_bandwidth.to_value(),
-            ),
-            (
-                "sum_overhead_bandwidth".into(),
-                self.sum_overhead_bandwidth.to_value(),
-            ),
-            (
-                "sum_max_response_time".into(),
-                self.sum_max_response_time.to_value(),
-            ),
-            (
-                "max_response_time".into(),
-                self.max_response_time.to_value(),
-            ),
-        ]);
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("runs", &self.runs);
+        out.field("released_jobs", &self.released_jobs);
+        out.field("completed_jobs", &self.completed_jobs);
+        out.field("deadline_misses", &self.deadline_misses);
+        out.field("injected_faults", &self.injected_faults);
+        out.field("effective_faults", &self.effective_faults);
+        out.field("outcomes", &self.outcomes);
+        out.field("sum_period", &self.sum_period);
+        out.field("sum_slack_bandwidth", &self.sum_slack_bandwidth);
+        out.field("sum_overhead_bandwidth", &self.sum_overhead_bandwidth);
+        out.field("sum_max_response_time", &self.sum_max_response_time);
+        out.field("max_response_time", &self.max_response_time);
         if !self.response.is_empty() {
-            fields.push(("response".into(), self.response.to_value()));
+            out.field("response", &self.response);
         }
         if self.wcet_margin.runs > 0 {
-            fields.push(("wcet_margin".into(), self.wcet_margin.to_value()));
+            out.field("wcet_margin", &self.wcet_margin);
         }
         if let Some(latency) = &self.latency {
-            fields.push(("latency".into(), latency.to_value()));
+            out.field("latency", latency);
         }
-        serde::Value::Map(fields)
+        out.end_map();
     }
 }
 

@@ -76,7 +76,6 @@
 
 #![warn(missing_docs)]
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -326,13 +325,13 @@ pub struct StageSpan {
 }
 
 impl Serialize for StageSpan {
-    fn to_value(&self) -> Value<'_> {
-        Value::Map(vec![
-            entry("stage", self.stage.label()),
-            entry("count", &self.histo.count),
-            entry("total_nanos", &self.histo.total_nanos),
-            entry("bins_micros_log2", &self.histo.bins),
-        ])
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("stage", self.stage.label());
+        out.field("count", &self.histo.count);
+        out.field("total_nanos", &self.histo.total_nanos);
+        out.field("bins_micros_log2", &self.histo.bins);
+        out.end_map();
     }
 }
 
@@ -369,10 +368,6 @@ fn zip_spans(ours: &[StageSpan], theirs: &[StageSpan], f: fn(u64, u64) -> u64) -
         }
     }
     out
-}
-
-fn entry<'a, T: Serialize + ?Sized>(key: &'static str, value: &'a T) -> (Cow<'a, str>, Value<'a>) {
-    (Cow::Borrowed(key), value.to_value())
 }
 
 fn map_of<'v, 'a>(v: &'v Value<'a>, ty: &str) -> Result<&'v Entries<'a>, serde::Error> {
@@ -423,11 +418,11 @@ impl RunMetrics {
 }
 
 impl Serialize for RunMetrics {
-    fn to_value(&self) -> Value<'_> {
-        Value::Map(vec![
-            entry("counters", &self.counters),
-            entry("timings", &self.timing),
-        ])
+    fn serialize(&self, out: &mut serde::Writer) {
+        out.begin_map();
+        out.field("counters", &self.counters);
+        out.field("timings", &self.timing);
+        out.end_map();
     }
 }
 
@@ -728,14 +723,14 @@ macro_rules! counters {
         }
 
         impl Serialize for RunTimings {
-            fn to_value(&self) -> Value<'_> {
-                Value::Map(vec![
-                    entry("wall_seconds", &self.wall_seconds),
-                    entry("workers", &self.workers),
-                    $( entry(stringify!($t), &self.$t), )*
-                    entry("stages", &self.spans),
-                    entry("worker_trials", &self.worker_trials),
-                ])
+            fn serialize(&self, out: &mut serde::Writer) {
+                out.begin_map();
+                out.field("wall_seconds", &self.wall_seconds);
+                out.field("workers", &self.workers);
+                $( out.field(stringify!($t), &self.$t); )*
+                out.field("stages", &self.spans);
+                out.field("worker_trials", &self.worker_trials);
+                out.end_map();
             }
         }
 
@@ -1020,7 +1015,8 @@ mod tests {
         let mut doc = m.snapshot();
         doc.timing.wall_seconds = 1.5;
         doc.timing.workers = 4;
-        let value = doc.to_value();
+        let text = serde_json::to_string(&doc).unwrap();
+        let value = serde_json::parse_value_complete(&text).unwrap();
         let timings = serde::get_field(value.as_map().unwrap(), "timings").unwrap();
         let keys: Vec<&str> = timings
             .as_map()

@@ -253,7 +253,9 @@ impl<'a> Pool<'a> {
     fn claim(&self, end: usize) -> Option<usize> {
         self.next
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |i| {
-                (i < end).then_some(i + 1)
+                // Lazily: the parked cursor is `usize::MAX`, where
+                // `i + 1` would overflow.
+                (i < end).then(|| i + 1)
             })
             .ok()
     }

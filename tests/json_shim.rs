@@ -1,6 +1,7 @@
 //! Hardening battery for the vendored JSON shim: bit-exact `f64` round
-//! trips, string round trips over the awkward corners of Unicode, and a
-//! robustness sweep that truncates and corrupts every checked-in JSON
+//! trips, string round trips over the awkward corners of Unicode, every
+//! checked-in golden written back byte for byte from its parsed tree,
+//! and a robustness sweep that truncates and corrupts every checked-in JSON
 //! document. Malformed input must come back as a named error, never a
 //! panic.
 
@@ -176,6 +177,38 @@ fn unescaped_strings_are_borrowed_from_the_input_and_escaped_ones_owned() {
         }
     }
     assert!(strings > 80, "only {strings} keys and strings in line 1");
+}
+
+#[test]
+fn writing_a_parsed_golden_reproduces_it_byte_for_byte() {
+    // The writer's whole output contract at once: key order, escapes,
+    // integer digits, float formatting, `null`s, empty containers and
+    // pretty indentation, on every value the goldens hold.
+    let mut goldens: Vec<_> = std::fs::read_dir(repo_path("tests/golden"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    goldens.sort();
+    assert!(goldens.len() >= 6, "goldens went missing: {goldens:?}");
+    for path in goldens {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let value = serde_json::parse_value_complete(&text).unwrap();
+        // Not `assert_eq!`: a failure must not print megabytes.
+        let written = serde_json::to_string_pretty(&value).unwrap();
+        assert!(written == text, "{} does not write back", path.display());
+    }
+    let transcript =
+        std::fs::read_to_string(repo_path("tests/golden/serve_transcript.jsonl")).unwrap();
+    for (i, line) in transcript.lines().enumerate() {
+        let value = serde_json::parse_value_complete(line).unwrap();
+        assert_eq!(
+            serde_json::to_string(&value).unwrap(),
+            line,
+            "transcript line {}",
+            i + 1
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@
 //! return exactly what the oracle returns: the same `f64` bits for every
 //! answer, and the same error (peak included) for every rejection. The
 //! feasibility-only [`last_feasible_period_with`] must answer as
-//! `max_feasible_period_with(..).ok()` does, from no more samples.
+//! `max_feasible_period_with(..).ok()` does, from no more samples. The
+//! oracle's bisection runs every one of its steps, so it also checks
+//! that the searches' bisection, which stops at its fixed point, lands
+//! on the same bits.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -148,6 +151,17 @@ fn assert_searches_match(ctx: &AnalysisContext, config: &RegionConfig) {
         "max_admissible_overhead_with, {config:?}"
     );
     assert_feasibility_only_matches(ctx, config);
+    // The bisection stops once its bracket is two adjacent floats; the
+    // oracle runs all 60 steps and must land on the same bits.
+    let full = RegionConfig {
+        refine_iterations: 60,
+        ..*config
+    };
+    assert_eq!(
+        exact(&max_feasible_period_with(ctx, &full), period),
+        exact(&oracle_max_feasible_period(ctx, &full), period),
+        "60-step bisection, {full:?}"
+    );
     // With no refinement the feasible-period search returns the last
     // feasible sample itself.
     let coarse = RegionConfig {
