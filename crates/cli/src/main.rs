@@ -1,34 +1,5 @@
 //! `ftsched` — run experiment campaigns from declarative spec files.
 //!
-//! ```text
-//! ftsched run <spec.json> [--threads N] [--block-size N] [--shard I/N]
-//!                         [--out report.json] [--csv report.csv]
-//!                         [--response-csv rt.csv] [--latency-csv lat.csv]
-//!                         [--metrics-json m.json] [--format json|columnar]
-//!                         [--progress] [--quiet] [--no-design-cache]
-//! ftsched orchestrate <spec.json> --shards N [--workers K]
-//!                         [--checkpoint-dir D] [--max-retries N]
-//!                         [--backoff-ms N] [--timeout-secs N]
-//!                         [--allow-partial] [--keep-checkpoints]
-//!                         [--worker-threads N] [run outputs...]
-//! ftsched merge <part.json>... [--out report.json] [--csv report.csv]
-//!                              [--response-csv rt.csv] [--latency-csv lat.csv]
-//!                              [--metrics m.json]... [--metrics-json out.json]
-//!                              [--format json|columnar]
-//! ftsched convert <report> [--from json|columnar]
-//!                          --to json|columnar|csv|response-csv|latency-csv
-//!                          [--out FILE]
-//! ftsched inspect <spec.json> --scenario I --trial J [--trace-json trace.json]
-//! ftsched metrics-strip <metrics.json>
-//! ftsched validate <spec.json>
-//! ftsched serve [--replay file.jsonl] [--out transcript.jsonl]
-//!               [--socket path.sock] [--batch-size N]
-//!               [--max-frame-bytes N] [--cache-capacity N] [--no-cache]
-//!               [--summary-json s.json]
-//! ftsched bench [--quick] [--minq] [--sim] [--sensitivity] [--serve]
-//! ftsched example
-//! ```
-//!
 //! `run` loads a [`CampaignSpec`], fans its trials out over worker
 //! threads with a progress line, prints the summary table and optionally
 //! writes the full JSON report and a per-scenario CSV. Reports are a pure
@@ -74,7 +45,12 @@
 //! `inspect` re-runs one (scenario, trial) coordinate from a report and
 //! can dump the full execution trace. Stderr diagnostics honour `-q` /
 //! `--quiet` and `FTSCHED_LOG=quiet|info`; errors always print.
+//!
+//! The help text below is the one description of the command line; the
+//! subcommands parse their arguments by hand with [`args::Cursor`] and
+//! report every failure as an [`args::CliError`] that `main` prints.
 
+mod args;
 mod ui;
 
 use std::path::PathBuf;
@@ -83,6 +59,9 @@ use std::time::Duration;
 
 use ftsched_campaign::prelude::*;
 use ftsched_campaign::{checkpoint, columnar, LocalProcessBackend, MergeFold, OrchestratorMetrics};
+use ftsched_serve::{AdmissionEngine, EngineConfig, DEFAULT_MAX_FRAME_BYTES};
+
+use args::{fail, positional, unexpected, usage, CliError, Cursor};
 
 const USAGE: &str = "\
 ftsched — deterministic experiment campaigns for the flexible \
@@ -225,49 +204,85 @@ fn main() -> ExitCode {
     // The verbosity gate is global: resolve it before dispatch so every
     // subcommand's notes honour -q/--quiet and FTSCHED_LOG.
     ui::init(args.iter().any(|a| a == "-q" || a == "--quiet"));
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("orchestrate") => cmd_orchestrate(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("metrics-strip") => cmd_metrics_strip(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("example") => match serde_json::to_string_pretty(&example_spec()) {
-            Ok(json) => {
-                println!("{json}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                ui::error(format!("cannot serialise the example spec: {e}"));
-                ExitCode::FAILURE
-            }
-        },
-        Some("--help" | "-h" | "help") | None => {
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("run") => cmd_run(rest),
+        Some("orchestrate") => cmd_orchestrate(rest),
+        Some("merge") => cmd_merge(rest),
+        Some("convert") => cmd_convert(rest),
+        Some("inspect") => cmd_inspect(rest),
+        Some("metrics-strip") => cmd_metrics_strip(rest),
+        Some("validate") => cmd_validate(rest),
+        Some("serve") => cmd_serve(rest),
+        Some("bench") => cmd_bench(rest),
+        Some("example") => serde_json::to_string_pretty(&example_spec())
+            .map(|json| println!("{json}"))
+            .map_err(|e| fail(format!("cannot serialise the example spec: {e}"))),
+        Some("--help" | "-h" | "help") | None => Err(CliError::Help),
+        Some(other) => Err(usage(format!("unknown command `{other}`"))),
+    };
+    let message = match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Help) => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => {
-            ui::error(format!("unknown command `{other}`\n\n{USAGE}"));
-            ExitCode::FAILURE
-        }
-    }
+        Err(CliError::Usage(message)) => format!("{message}\n\n{USAGE}"),
+        Err(CliError::Failed(message)) => message,
+    };
+    ui::error(message);
+    ExitCode::FAILURE
 }
 
-/// Report output destinations shared by `run` and `merge`.
+/// Where `run`, `orchestrate` and `merge` send what they produce: the
+/// report renderings and the `--metrics-json` document.
 #[derive(Default)]
-struct Outputs<'a> {
-    json: Option<&'a str>,
+struct ReportSinks<'a> {
+    out: Option<&'a str>,
     csv: Option<&'a str>,
     response_csv: Option<&'a str>,
     latency_csv: Option<&'a str>,
-    /// Encoding for the `json` destination (`--format`).
+    /// Each subcommand writes its own metrics document here.
+    metrics_json: Option<&'a str>,
+    /// Encoding for the `out` destination (`--format`).
     format: ReportFormat,
 }
 
-impl Outputs<'_> {
+impl<'a> ReportSinks<'a> {
+    /// Consumes `flag` and its value if it is one of the six shared
+    /// output flags; returns whether it was.
+    fn take(&mut self, flag: &str, args: &mut Cursor<'a>) -> Result<bool, CliError> {
+        let slot = match flag {
+            "--out" => &mut self.out,
+            "--csv" => &mut self.csv,
+            "--response-csv" => &mut self.response_csv,
+            "--latency-csv" => &mut self.latency_csv,
+            "--metrics-json" => &mut self.metrics_json,
+            "--format" => {
+                self.format = report_format(flag, args)?;
+                return Ok(true);
+            }
+            _ => return Ok(false),
+        };
+        *slot = Some(args.value(flag)?);
+        Ok(true)
+    }
+
+    /// Rejects a CSV sink the spec cannot fill: each of the two exists
+    /// only for specs that enable its metric. `run` and `orchestrate`
+    /// call this right after loading the spec, before any trial runs;
+    /// `write` calls it before its first file.
+    fn check(&self, spec: &CampaignSpec) -> Result<(), CliError> {
+        let (flag, field) = if self.response_csv.is_some() && spec.response_histogram.is_none() {
+            ("--response-csv", "response_histogram")
+        } else if self.latency_csv.is_some() && spec.latency_curves.is_none() {
+            ("--latency-csv", "latency_curves")
+        } else {
+            return Ok(());
+        };
+        Err(fail(format!("{flag} needs a spec with `{field}` enabled")))
+    }
+
     /// Renders the report in the `--format` encoding (for `--out`).
     fn render(&self, report: &CampaignReport) -> String {
         match self.format {
@@ -276,155 +291,92 @@ impl Outputs<'_> {
         }
     }
 
-    /// Writes the requested files; returns false on the first failure.
-    fn write(&self, report: &CampaignReport) -> bool {
-        if let Some(path) = self.json {
-            if let Err(e) = std::fs::write(path, self.render(report)) {
-                ui::error(format!("cannot write `{path}`: {e}"));
-                return false;
-            }
-            ui::note(format!("wrote {} report to {path}", self.format.label()));
+    /// Writes the requested report files, stopping at the first failure.
+    fn write(&self, report: &CampaignReport) -> Result<(), CliError> {
+        self.check(&report.spec)?;
+        if let Some(path) = self.out {
+            let what = format!("{} report", self.format.label());
+            write_file(path, self.render(report), Some(&what))?;
         }
         if let Some(path) = self.csv {
-            if let Err(e) = std::fs::write(path, report.to_csv()) {
-                ui::error(format!("cannot write `{path}`: {e}"));
-                return false;
-            }
-            ui::note(format!("wrote CSV report to {path}"));
+            write_file(path, report.to_csv(), Some("CSV report"))?;
         }
         if let Some(path) = self.response_csv {
-            let Some(csv) = report.response_csv() else {
-                ui::error("--response-csv needs a spec with `response_histogram` enabled");
-                return false;
-            };
-            if let Err(e) = std::fs::write(path, csv) {
-                ui::error(format!("cannot write `{path}`: {e}"));
-                return false;
-            }
-            ui::note(format!("wrote response-time CSV to {path}"));
+            let csv = report.response_csv().expect("checked against the spec");
+            write_file(path, csv, Some("response-time CSV"))?;
         }
         if let Some(path) = self.latency_csv {
-            let Some(csv) = report.latency_csv() else {
-                ui::error("--latency-csv needs a spec with `latency_curves` enabled");
-                return false;
-            };
-            if let Err(e) = std::fs::write(path, csv) {
-                ui::error(format!("cannot write `{path}`: {e}"));
-                return false;
-            }
-            ui::note(format!("wrote latency-vs-load CSV to {path}"));
+            let csv = report.latency_csv().expect("checked against the spec");
+            write_file(path, csv, Some("latency-vs-load CSV"))?;
         }
-        true
+        Ok(())
     }
 }
 
-/// Serialises `metrics` to `path`, reporting success as a note.
-fn write_metrics(metrics: &RunMetrics, path: &str) -> bool {
+/// Parses the `json|columnar` value of `--format` or `--from`.
+fn report_format(flag: &str, args: &mut Cursor) -> Result<ReportFormat, CliError> {
+    let value = args.value(flag)?;
+    ReportFormat::parse(value).ok_or_else(|| {
+        fail(format!(
+            "invalid {flag} value `{value}`: expected `json` or `columnar`"
+        ))
+    })
+}
+
+/// Writes one output file; `what`, if given, names it in a
+/// `wrote … to PATH` note.
+fn write_file(path: &str, bytes: impl AsRef<[u8]>, what: Option<&str>) -> Result<(), CliError> {
+    std::fs::write(path, bytes).map_err(|e| fail(format!("cannot write `{path}`: {e}")))?;
+    if let Some(what) = what {
+        ui::note(format!("wrote {what} to {path}"));
+    }
+    Ok(())
+}
+
+fn read_text(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read `{path}`: {e}")))
+}
+
+fn read_metrics(path: &str) -> Result<RunMetrics, CliError> {
+    serde_json::from_str(&read_text(path)?).map_err(|e| fail(format!("cannot parse `{path}`: {e}")))
+}
+
+fn write_metrics(metrics: &RunMetrics, path: &str) -> Result<(), CliError> {
     let json = serde_json::to_string_pretty(metrics).expect("metrics always serialise");
-    if let Err(e) = std::fs::write(path, json) {
-        ui::error(format!("cannot write `{path}`: {e}"));
-        return false;
-    }
-    ui::note(format!("wrote run metrics to {path}"));
-    true
+    write_file(path, json, Some("run metrics"))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut exec = ExecutorConfig {
-        progress: true,
-        ..ExecutorConfig::default()
-    };
-    let mut outputs = Outputs::default();
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    let mut spec_path = None;
+    let mut exec = ExecutorConfig::default();
+    let mut sinks = ReportSinks::default();
     let mut shard: Option<ShardInfo> = None;
-    let mut metrics_json: Option<&str> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => match take_value(args, &mut i) {
-                Some(v) => match v.parse() {
-                    Ok(n) => exec.threads = n,
-                    Err(_) => return usage_error(&format!("invalid --threads value `{v}`")),
-                },
-                None => return usage_error("--threads needs a value"),
-            },
-            "--block-size" => match take_value(args, &mut i) {
-                Some(v) => match v.parse() {
-                    Ok(n) if n > 0 => exec.block_size = n,
-                    _ => return usage_error(&format!("invalid --block-size value `{v}`")),
-                },
-                None => return usage_error("--block-size needs a value"),
-            },
-            "--shard" => match take_value(args, &mut i) {
-                Some(v) => match ShardInfo::parse_detailed(v) {
-                    Ok(s) => shard = Some(s),
-                    Err(reason) => {
-                        return value_error(&format!("invalid --shard value `{v}`: {reason}"))
-                    }
-                },
-                None => return usage_error("--shard needs a value"),
-            },
-            "--out" => match take_value(args, &mut i) {
-                Some(v) => outputs.json = Some(v),
-                None => return usage_error("--out needs a value"),
-            },
-            "--csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.csv = Some(v),
-                None => return usage_error("--csv needs a value"),
-            },
-            "--response-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.response_csv = Some(v),
-                None => return usage_error("--response-csv needs a value"),
-            },
-            "--latency-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.latency_csv = Some(v),
-                None => return usage_error("--latency-csv needs a value"),
-            },
-            "--metrics-json" => match take_value(args, &mut i) {
-                Some(v) => metrics_json = Some(v),
-                None => return usage_error("--metrics-json needs a value"),
-            },
-            "--format" => match take_value(args, &mut i) {
-                Some(v) => match ReportFormat::parse(v) {
-                    Some(f) => outputs.format = f,
-                    None => {
-                        return value_error(&format!(
-                            "invalid --format value `{v}`: expected `json` or `columnar`"
-                        ))
-                    }
-                },
-                None => return usage_error("--format needs a value"),
-            },
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        if sinks.take(arg, &mut args)? {
+            continue;
+        }
+        match arg {
+            "--threads" => exec.threads = args.parse(arg)?,
+            "--block-size" => exec.block_size = args.count(arg)?,
+            "--shard" => {
+                let value = args.value(arg)?;
+                let invalid = |reason| fail(format!("invalid --shard value `{value}`: {reason}"));
+                shard = Some(ShardInfo::parse_detailed(value).map_err(invalid)?);
+            }
             "--progress" => exec.heartbeat = true,
-            "-q" | "--quiet" => {
-                exec.progress = false;
-                exec.heartbeat = false;
-            }
             "--no-design-cache" => exec.design_cache = false,
-            other if spec_path.is_none() && !other.starts_with('-') => {
-                spec_path = Some(other);
-            }
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+            other => positional(&mut spec_path, other)?,
         }
-        i += 1;
     }
-    let Some(spec_path) = spec_path else {
-        return usage_error("run needs a spec file");
-    };
+    let spec_path = spec_path.ok_or_else(|| usage("run needs a spec file"))?;
     // Progress lines are informational output too.
-    if ui::quiet() {
-        exec.progress = false;
-        exec.heartbeat = false;
-    }
+    exec.progress = !ui::quiet();
+    exec.heartbeat &= exec.progress;
 
-    let spec = match load_spec(spec_path) {
-        Ok(spec) => spec,
-        Err(message) => {
-            ui::error(message);
-            return ExitCode::FAILURE;
-        }
-    };
+    let spec = load_spec(spec_path)?;
+    sinks.check(&spec)?;
 
     match shard {
         None => ui::note(format!(
@@ -461,20 +413,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
     // The run counts into a recorder of its own, so nothing this process
     // did before (spec validation, earlier subprocess work) leaks into
     // the metrics document.
-    let (report, metrics) = match run_campaign_recorded(&spec, &exec, shard) {
-        Ok(done) => done,
-        Err(e) => {
-            ui::error(e.to_string());
-            return ExitCode::FAILURE;
-        }
-    };
+    let (report, metrics) = run_campaign_recorded(&spec, &exec, shard).map_err(fail)?;
     let elapsed = metrics.timing.wall_seconds;
     let trials = report.total_trials();
     ui::note(format!(
         "completed {trials} trials in {elapsed:.2}s ({:.0} trials/s)",
         trials as f64 / elapsed.max(1e-9)
     ));
-    if shard.is_some() && outputs.json.is_none() {
+    if shard.is_some() && sinks.out.is_none() {
         ui::warn(
             "partial (shard) reports are meant to be saved with --out and folded with `ftsched merge`",
         );
@@ -482,10 +428,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     println!("{}", report.render_table());
 
-    if let Some(path) = metrics_json {
-        if !write_metrics(&metrics, path) {
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = sinks.metrics_json {
+        write_metrics(&metrics, path)?;
     }
 
     if let Some(FaultAction::Corrupt) = fault {
@@ -493,18 +437,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
         // exactly the failure mode the orchestrator's output validation
         // and checkpoint integrity footer exist to catch.
         ui::warn("FTSCHED_ORCH_FAULT: writing a corrupt report for this shard");
-        if let Some(path) = outputs.json {
-            let rendered = outputs.render(&report);
+        if let Some(path) = sinks.out {
+            let rendered = sinks.render(&report);
             let _ = std::fs::write(path, &rendered[..rendered.len() / 2]);
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    if outputs.write(&report) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    sinks.write(&report)
 }
 
 /// What `FTSCHED_ORCH_FAULT` tells this shard worker to do.
@@ -518,155 +458,77 @@ enum FaultAction {
 /// returns the action aimed at this worker's shard index, if any.
 fn planned_fault(shard: ShardInfo) -> Option<FaultAction> {
     let raw = std::env::var("FTSCHED_ORCH_FAULT").ok()?;
-    for item in raw.split(',') {
-        let Some((action, index)) = item.trim().split_once(':') else {
-            continue;
-        };
+    raw.split(',').find_map(|item| {
+        let (action, index) = item.trim().split_once(':')?;
         if index.trim().parse() != Ok(shard.index) {
-            continue;
+            return None;
         }
         match action.trim() {
-            "kill" => return Some(FaultAction::Kill),
-            "stall" => return Some(FaultAction::Stall),
-            "corrupt" => return Some(FaultAction::Corrupt),
-            _ => {}
+            "kill" => Some(FaultAction::Kill),
+            "stall" => Some(FaultAction::Stall),
+            "corrupt" => Some(FaultAction::Corrupt),
+            _ => None,
         }
-    }
-    None
+    })
 }
 
-fn cmd_orchestrate(args: &[String]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut shards: Option<usize> = None;
-    let mut workers = 0usize;
-    let mut worker_threads = 0usize;
-    let mut max_retries = 3u32;
-    let mut backoff_ms = 250u64;
-    let mut timeout_secs = 0u64;
-    let mut allow_partial = false;
+fn cmd_orchestrate(args: &[String]) -> Result<(), CliError> {
+    let mut spec_path = None;
+    // `--shards` rejects 0, so a count of 0 means the flag is missing.
+    let mut config = OrchestratorConfig::new(0, PathBuf::new());
+    let mut worker_threads = 0;
     let mut keep_checkpoints = false;
     let mut checkpoint_dir: Option<&str> = None;
-    let mut outputs = Outputs::default();
-    let mut metrics_json: Option<&str> = None;
+    let mut sinks = ReportSinks::default();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => match take_value(args, &mut i) {
-                Some(v) => match v.parse() {
-                    Ok(n) if n > 0 => shards = Some(n),
-                    _ => {
-                        return value_error(&format!(
-                            "invalid --shards value `{v}`: expected a positive shard count"
-                        ))
-                    }
-                },
-                None => return usage_error("--shards needs a value"),
-            },
-            "--workers" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => workers = n,
-                _ => return usage_error("--workers needs a number"),
-            },
-            "--worker-threads" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => worker_threads = n,
-                _ => return usage_error("--worker-threads needs a number"),
-            },
-            "--max-retries" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => max_retries = n,
-                _ => return usage_error("--max-retries needs a number"),
-            },
-            "--backoff-ms" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => backoff_ms = n,
-                _ => return usage_error("--backoff-ms needs a number"),
-            },
-            "--timeout-secs" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => timeout_secs = n,
-                _ => return usage_error("--timeout-secs needs a number"),
-            },
-            "--checkpoint-dir" => match take_value(args, &mut i) {
-                Some(v) => checkpoint_dir = Some(v),
-                None => return usage_error("--checkpoint-dir needs a value"),
-            },
-            "--allow-partial" => allow_partial = true,
-            "--keep-checkpoints" => keep_checkpoints = true,
-            "--out" => match take_value(args, &mut i) {
-                Some(v) => outputs.json = Some(v),
-                None => return usage_error("--out needs a value"),
-            },
-            "--csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.csv = Some(v),
-                None => return usage_error("--csv needs a value"),
-            },
-            "--response-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.response_csv = Some(v),
-                None => return usage_error("--response-csv needs a value"),
-            },
-            "--latency-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.latency_csv = Some(v),
-                None => return usage_error("--latency-csv needs a value"),
-            },
-            "--metrics-json" => match take_value(args, &mut i) {
-                Some(v) => metrics_json = Some(v),
-                None => return usage_error("--metrics-json needs a value"),
-            },
-            "--format" => match take_value(args, &mut i) {
-                Some(v) => match ReportFormat::parse(v) {
-                    Some(f) => outputs.format = f,
-                    None => {
-                        return value_error(&format!(
-                            "invalid --format value `{v}`: expected `json` or `columnar`"
-                        ))
-                    }
-                },
-                None => return usage_error("--format needs a value"),
-            },
-            "-q" | "--quiet" => {}
-            other if spec_path.is_none() && !other.starts_with('-') => {
-                spec_path = Some(other);
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        if sinks.take(arg, &mut args)? {
+            continue;
+        }
+        match arg {
+            "--shards" => {
+                let value = args.value(arg)?;
+                config.shards = value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                    fail(format!(
+                        "invalid --shards value `{value}`: expected a positive shard count"
+                    ))
+                })?;
             }
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+            "--workers" => config.workers = args.parse(arg)?,
+            "--worker-threads" => worker_threads = args.parse(arg)?,
+            "--max-retries" => config.max_retries = args.parse(arg)?,
+            "--backoff-ms" => config.backoff_base_ms = args.parse::<u64>(arg)?.max(1),
+            "--timeout-secs" => {
+                let secs = args.parse(arg)?;
+                config.shard_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+            }
+            "--checkpoint-dir" => checkpoint_dir = Some(args.value(arg)?),
+            "--allow-partial" => config.allow_partial = true,
+            "--keep-checkpoints" => keep_checkpoints = true,
+            other => positional(&mut spec_path, other)?,
         }
-        i += 1;
     }
-    let Some(spec_path) = spec_path else {
-        return usage_error("orchestrate needs a spec file");
-    };
-    let Some(shards) = shards else {
-        return usage_error("orchestrate needs --shards");
-    };
+    let spec_path = spec_path.ok_or_else(|| usage("orchestrate needs a spec file"))?;
+    if config.shards == 0 {
+        return Err(usage("orchestrate needs --shards"));
+    }
 
-    let spec = match load_spec(spec_path) {
-        Ok(spec) => spec,
-        Err(message) => {
-            ui::error(message);
-            return ExitCode::FAILURE;
-        }
-    };
-    let program = match std::env::current_exe() {
-        Ok(program) => program,
-        Err(e) => {
-            ui::error(format!("cannot locate the ftsched binary to spawn: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let checkpoint_dir = checkpoint_dir
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("{spec_path}.ckpt")));
+    let spec = load_spec(spec_path)?;
+    sinks.check(&spec)?;
+    let program = std::env::current_exe()
+        .map_err(|e| fail(format!("cannot locate the ftsched binary to spawn: {e}")))?;
+    config.checkpoint_dir =
+        checkpoint_dir.map_or_else(|| format!("{spec_path}.ckpt").into(), PathBuf::from);
 
     let backend = LocalProcessBackend {
         program,
         spec_path: PathBuf::from(spec_path),
         worker_threads,
-        format: outputs.format,
+        format: sinks.format,
     };
-    let mut config = OrchestratorConfig::new(shards, checkpoint_dir.clone());
-    config.format = outputs.format;
-    config.workers = workers;
-    config.max_retries = max_retries;
-    config.backoff_base_ms = backoff_ms.max(1);
+    config.format = sinks.format;
     config.jitter_seed = spec.master_seed;
-    config.shard_timeout = (timeout_secs > 0).then(|| Duration::from_secs(timeout_secs));
-    config.allow_partial = allow_partial;
     config.on_event = Some(Box::new(|event| match event {
         OrchestratorEvent::CheckpointAdopted { shard } => {
             ui::note(format!("shard {shard}: adopted completed checkpoint"))
@@ -702,18 +564,13 @@ fn cmd_orchestrate(args: &[String]) -> ExitCode {
     }));
 
     ui::note(format!(
-        "campaign `{}`: {} trials across {shards} shards (checkpoints in `{}`)",
+        "campaign `{}`: {} trials across {} shards (checkpoints in `{}`)",
         spec.name,
         spec.trial_count(),
-        checkpoint_dir.display(),
+        config.shards,
+        config.checkpoint_dir.display(),
     ));
-    let outcome = match orchestrate(&spec, &config, &backend) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            ui::error(e.to_string());
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = orchestrate(&spec, &config, &backend).map_err(fail)?;
 
     if outcome.missing.is_empty() {
         ui::note(format!(
@@ -739,205 +596,72 @@ fn cmd_orchestrate(args: &[String]) -> ExitCode {
             "merged a PARTIAL report — missing shards {}; checkpoints kept in `{}`, \
              rerun to fill the gaps",
             gaps.join(", "),
-            checkpoint_dir.display(),
+            config.checkpoint_dir.display(),
         ));
     }
 
     println!("{}", outcome.report.render_table());
 
-    if let Some(path) = metrics_json {
+    if let Some(path) = sinks.metrics_json {
         let doc = OrchestratorMetrics {
             orchestrator: outcome.stats.clone(),
             workers: outcome.worker_counters,
         };
         let json = serde_json::to_string_pretty(&doc).expect("metrics always serialise");
-        if let Err(e) = std::fs::write(path, json) {
-            ui::error(format!("cannot write `{path}`: {e}"));
-            return ExitCode::FAILURE;
-        }
-        ui::note(format!("wrote orchestrator metrics to {path}"));
+        write_file(path, json, Some("orchestrator metrics"))?;
     }
 
-    if !outputs.write(&outcome.report) {
-        return ExitCode::FAILURE;
-    }
+    sinks.write(&outcome.report)?;
 
     // A fully successful campaign no longer needs its checkpoints; a
     // partial one keeps them so a rerun resumes instead of restarting.
     if outcome.missing.is_empty() && !keep_checkpoints {
-        for index in 0..shards {
-            let shard = ShardInfo {
-                index,
-                count: shards,
-            };
-            let _ = std::fs::remove_file(checkpoint::checkpoint_path(&checkpoint_dir, shard));
+        let (count, dir) = (config.shards, &config.checkpoint_dir);
+        for shard in (0..count).map(|index| ShardInfo { index, count }) {
+            let _ = std::fs::remove_file(checkpoint::checkpoint_path(dir, shard));
         }
-        let _ = std::fs::remove_dir_all(checkpoint_dir.join("work"));
-        let _ = std::fs::remove_dir(&checkpoint_dir);
+        let _ = std::fs::remove_dir_all(dir.join("work"));
+        let _ = std::fs::remove_dir(dir);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_merge(args: &[String]) -> ExitCode {
-    let mut outputs = Outputs::default();
-    let mut files: Vec<&str> = Vec::new();
-    let mut metrics_files: Vec<&str> = Vec::new();
-    let mut metrics_json: Option<&str> = None;
+fn cmd_merge(args: &[String]) -> Result<(), CliError> {
+    let mut sinks = ReportSinks::default();
+    let mut files = Vec::new();
+    let mut metrics_files = Vec::new();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => match take_value(args, &mut i) {
-                Some(v) => outputs.json = Some(v),
-                None => return usage_error("--out needs a value"),
-            },
-            "--csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.csv = Some(v),
-                None => return usage_error("--csv needs a value"),
-            },
-            "--response-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.response_csv = Some(v),
-                None => return usage_error("--response-csv needs a value"),
-            },
-            "--latency-csv" => match take_value(args, &mut i) {
-                Some(v) => outputs.latency_csv = Some(v),
-                None => return usage_error("--latency-csv needs a value"),
-            },
-            "--metrics" => match take_value(args, &mut i) {
-                Some(v) => metrics_files.push(v),
-                None => return usage_error("--metrics needs a value"),
-            },
-            "--metrics-json" => match take_value(args, &mut i) {
-                Some(v) => metrics_json = Some(v),
-                None => return usage_error("--metrics-json needs a value"),
-            },
-            "--format" => match take_value(args, &mut i) {
-                Some(v) => match ReportFormat::parse(v) {
-                    Some(f) => outputs.format = f,
-                    None => {
-                        return value_error(&format!(
-                            "invalid --format value `{v}`: expected `json` or `columnar`"
-                        ))
-                    }
-                },
-                None => return usage_error("--format needs a value"),
-            },
-            "-q" | "--quiet" => {}
-            other if !other.starts_with('-') => files.push(other),
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        if sinks.take(arg, &mut args)? {
+            continue;
         }
-        i += 1;
+        match arg {
+            "--metrics" => metrics_files.push(args.value(arg)?),
+            other if !other.starts_with('-') => files.push(other),
+            other => return Err(unexpected(other)),
+        }
     }
     if files.is_empty() {
-        return usage_error("merge needs at least one partial report file");
+        return Err(usage("merge needs at least one partial report file"));
     }
-    if metrics_json.is_some() && metrics_files.is_empty() {
-        return usage_error("merge --metrics-json needs at least one --metrics input");
-    }
-    if metrics_json.is_none() && !metrics_files.is_empty() {
-        return usage_error("merge --metrics needs --metrics-json for the folded output");
+    // The --metrics inputs and the --metrics-json output come together.
+    if sinks.metrics_json.is_some() == metrics_files.is_empty() {
+        return Err(usage(match sinks.metrics_json {
+            Some(_) => "merge --metrics-json needs at least one --metrics input",
+            None => "merge --metrics needs --metrics-json for the folded output",
+        }));
     }
 
     // Shards fold into the accumulator one at a time (columnar ones one
     // *scenario block* at a time), so peak memory is one resident shard
     // instead of the whole campaign's worth of partial reports.
-    use std::io::{BufRead, Read};
     let mut fold = MergeFold::new();
     for (position, path) in files.iter().enumerate() {
-        let read_error = |e: &std::io::Error| {
-            ui::error(format!(
-                "cannot read partial report `{path}` (input #{}): {e}",
-                position + 1
-            ));
-            ExitCode::FAILURE
-        };
-        let complete_error = || {
-            ui::error(format!(
-                "`{path}` (input #{}) is a complete report, not a shard partial — \
-                 merge only folds `run --shard` outputs",
-                position + 1
-            ));
-            ExitCode::FAILURE
-        };
-        let parse_error = |shard_hint: String, e: &dyn std::fmt::Display| {
-            ui::error(format!(
-                "cannot parse partial report `{path}` (input #{}{shard_hint}): {e} — \
-                 the file is truncated or corrupt; re-run that shard",
-                position + 1
-            ));
-            ExitCode::FAILURE
-        };
-        let file = match std::fs::File::open(path) {
-            Ok(file) => file,
-            Err(e) => return read_error(&e),
-        };
-        let mut input = std::io::BufReader::new(file);
-        let is_columnar = match input.fill_buf() {
-            Ok(head) => head.starts_with(columnar::MAGIC.as_bytes()),
-            Err(e) => return read_error(&e),
-        };
-        if is_columnar {
-            let mut reader = match columnar::ColumnarReader::new(input) {
-                Ok(reader) => reader,
-                Err(e) => return parse_error(String::new(), &e),
-            };
-            let shard = reader.shard();
-            if shard.is_none() {
-                return complete_error();
-            }
-            if let Err(e) = fold.add_header(reader.spec(), shard) {
-                ui::error(e.to_string());
-                return ExitCode::FAILURE;
-            }
-            loop {
-                match reader.next_block() {
-                    Ok(Some((index, stats))) => {
-                        if let Err(e) = fold.add_scenario(index, &stats) {
-                            ui::error(e.to_string());
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        let shard_hint = shard.map(|s| format!(", shard {s}")).unwrap_or_default();
-                        return parse_error(shard_hint, &e);
-                    }
-                }
-            }
-        } else {
-            let mut text = String::new();
-            if let Err(e) = input.read_to_string(&mut text) {
-                return read_error(&e);
-            }
-            match serde_json::from_str::<CampaignReport>(&text) {
-                Ok(part) => {
-                    if part.shard.is_none() {
-                        return complete_error();
-                    }
-                    if let Err(e) = fold.add_report(&part) {
-                        ui::error(e.to_string());
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) => {
-                    // A truncated/corrupt partial should still name which
-                    // shard it was, if the prefix survived far enough.
-                    let shard_hint = guess_shard(&text)
-                        .map(|s| format!(", shard {s}"))
-                        .unwrap_or_default();
-                    return parse_error(shard_hint, &e);
-                }
-            }
-        }
+        fold_partial(&mut fold, path, position + 1)?;
     }
 
-    let report = match fold.finish(false) {
-        Ok(report) => report,
-        Err(e) => {
-            ui::error(e.to_string());
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = fold.finish(false).map_err(fail)?;
     ui::note(format!(
         "merged campaign `{}`: {} scenarios, {} trials",
         report.spec.name,
@@ -946,117 +670,102 @@ fn cmd_merge(args: &[String]) -> ExitCode {
     ));
     println!("{}", report.render_table());
 
-    if let Some(out) = metrics_json {
+    if let Some(out) = sinks.metrics_json {
         // Counter merge is commutative, so the input order of the shard
         // metrics files cannot change the deterministic half.
-        let mut folded: Option<RunMetrics> = None;
-        for path in metrics_files {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    ui::error(format!("cannot read `{path}`: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            let part: RunMetrics = match serde_json::from_str(&text) {
-                Ok(part) => part,
-                Err(e) => {
-                    ui::error(format!("cannot parse `{path}`: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            folded = Some(match folded {
-                Some(acc) => acc.merged(&part),
-                None => part,
-            });
+        let mut folded = read_metrics(metrics_files[0])?;
+        for path in &metrics_files[1..] {
+            folded = folded.merged(&read_metrics(path)?);
         }
-        let folded = folded.expect("checked non-empty above");
-        if !write_metrics(&folded, out) {
-            return ExitCode::FAILURE;
-        }
+        write_metrics(&folded, out)?;
     }
 
-    if outputs.write(&report) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    sinks.write(&report)
 }
 
-fn cmd_convert(args: &[String]) -> ExitCode {
-    let mut input: Option<&str> = None;
-    let mut from: Option<ReportFormat> = None;
-    let mut to: Option<&str> = None;
-    let mut out: Option<&str> = None;
+/// Folds the partial report at `path`, merge input number `number`, into
+/// `fold`. Every error names the file and its input number.
+fn fold_partial(fold: &mut MergeFold, path: &str, number: usize) -> Result<(), CliError> {
+    use std::io::{BufRead, Read};
+    let read_error = |e: std::io::Error| {
+        fail(format!(
+            "cannot read partial report `{path}` (input #{number}): {e}"
+        ))
+    };
+    let complete_error = || {
+        fail(format!(
+            "`{path}` (input #{number}) is a complete report, not a shard partial — \
+             merge only folds `run --shard` outputs"
+        ))
+    };
+    let parse_error = |shard: Option<String>, e: &dyn std::fmt::Display| {
+        let shard_hint = shard.map(|s| format!(", shard {s}")).unwrap_or_default();
+        fail(format!(
+            "cannot parse partial report `{path}` (input #{number}{shard_hint}): {e} — \
+             the file is truncated or corrupt; re-run that shard"
+        ))
+    };
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--from" => match take_value(args, &mut i) {
-                Some(v) => match ReportFormat::parse(v) {
-                    Some(f) => from = Some(f),
-                    None => {
-                        return value_error(&format!(
-                            "invalid --from value `{v}`: expected `json` or `columnar`"
-                        ))
-                    }
-                },
-                None => return usage_error("--from needs a value"),
-            },
-            "--to" => match take_value(args, &mut i) {
-                Some(v) => to = Some(v),
-                None => return usage_error("--to needs a value"),
-            },
-            "--out" => match take_value(args, &mut i) {
-                Some(v) => out = Some(v),
-                None => return usage_error("--out needs a value"),
-            },
-            "-q" | "--quiet" => {}
-            other if input.is_none() && !other.starts_with('-') => input = Some(other),
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+    let file = std::fs::File::open(path).map_err(read_error)?;
+    let mut input = std::io::BufReader::new(file);
+    let head = input.fill_buf().map_err(read_error)?;
+    if head.starts_with(columnar::MAGIC.as_bytes()) {
+        let mut reader = columnar::ColumnarReader::new(input).map_err(|e| parse_error(None, &e))?;
+        let shard = reader.shard().ok_or_else(complete_error)?;
+        fold.add_header(reader.spec(), Some(shard)).map_err(fail)?;
+        while let Some((index, stats)) = reader
+            .next_block()
+            .map_err(|e| parse_error(Some(shard.to_string()), &e))?
+        {
+            fold.add_scenario(index, &stats).map_err(fail)?;
         }
-        i += 1;
+    } else {
+        let mut text = String::new();
+        input.read_to_string(&mut text).map_err(read_error)?;
+        // A truncated/corrupt partial should still name which shard it
+        // was, if the prefix survived far enough.
+        let part: CampaignReport =
+            serde_json::from_str(&text).map_err(|e| parse_error(guess_shard(&text), &e))?;
+        if part.shard.is_none() {
+            return Err(complete_error());
+        }
+        fold.add_report(&part).map_err(fail)?;
     }
-    let Some(input) = input else {
-        return usage_error("convert needs a report file");
-    };
-    let Some(to) = to else {
-        return usage_error(
-            "convert needs --to (json, columnar, csv, response-csv or latency-csv)",
-        );
-    };
+    Ok(())
+}
 
-    let text = match std::fs::read_to_string(input) {
-        Ok(text) => text,
-        Err(e) => {
-            ui::error(format!("cannot read `{input}`: {e}"));
-            return ExitCode::FAILURE;
+fn cmd_convert(args: &[String]) -> Result<(), CliError> {
+    let (mut input, mut from, mut to, mut out) = (None, None, None, None);
+
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        match arg {
+            "--from" => from = Some(report_format(arg, &mut args)?),
+            "--to" => to = Some(args.value(arg)?),
+            "--out" => out = Some(args.value(arg)?),
+            other => positional(&mut input, other)?,
         }
-    };
-    let Some(from) = from.or_else(|| ReportFormat::sniff(&text)) else {
-        return value_error(&format!(
+    }
+    let input = input.ok_or_else(|| usage("convert needs a report file"))?;
+    let to = to.ok_or_else(|| {
+        usage("convert needs --to (json, columnar, csv, response-csv or latency-csv)")
+    })?;
+
+    let text = read_text(input)?;
+    let from = from.or_else(|| ReportFormat::sniff(&text)).ok_or_else(|| {
+        fail(format!(
             "cannot tell the format of `{input}`: it starts with neither `{{` (JSON) \
              nor the columnar header; pass --from"
-        ));
-    };
+        ))
+    })?;
     // Every conversion routes through the in-memory CampaignReport, so
     // any source format reaches any rendering and json <-> columnar is
     // exactly decode-then-encode (byte-identical both ways).
     let report = match from {
-        ReportFormat::Json => match serde_json::from_str::<CampaignReport>(&text) {
-            Ok(report) => report,
-            Err(e) => {
-                ui::error(format!("cannot parse `{input}` as a JSON report: {e}"));
-                return ExitCode::FAILURE;
-            }
-        },
-        ReportFormat::Columnar => match columnar::read_report_str(&text) {
-            Ok(report) => report,
-            Err(e) => {
-                ui::error(format!("cannot parse `{input}` as a columnar report: {e}"));
-                return ExitCode::FAILURE;
-            }
-        },
+        ReportFormat::Json => serde_json::from_str::<CampaignReport>(&text)
+            .map_err(|e| fail(format!("cannot parse `{input}` as a JSON report: {e}")))?,
+        ReportFormat::Columnar => columnar::read_report_str(&text)
+            .map_err(|e| fail(format!("cannot parse `{input}` as a columnar report: {e}")))?,
     };
     drop(text);
 
@@ -1064,36 +773,23 @@ fn cmd_convert(args: &[String]) -> ExitCode {
         "json" => report.to_json(),
         "columnar" => columnar::encode_report(&report),
         "csv" => report.to_csv(),
-        "response-csv" => match report.response_csv() {
-            Some(csv) => csv,
-            None => {
-                ui::error(
-                    "--to response-csv needs a report whose spec enables `response_histogram`",
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        "latency-csv" => match report.latency_csv() {
-            Some(csv) => csv,
-            None => {
-                ui::error("--to latency-csv needs a report whose spec enables `latency_curves`");
-                return ExitCode::FAILURE;
-            }
-        },
+        "response-csv" => report.response_csv().ok_or_else(|| {
+            fail("--to response-csv needs a report whose spec enables `response_histogram`")
+        })?,
+        "latency-csv" => report.latency_csv().ok_or_else(|| {
+            fail("--to latency-csv needs a report whose spec enables `latency_curves`")
+        })?,
         other => {
-            return value_error(&format!(
+            return Err(fail(format!(
                 "invalid --to value `{other}`: expected json, columnar, csv, \
                  response-csv or latency-csv"
-            ))
+            )))
         }
     };
 
     match out {
         Some(dest) => {
-            if let Err(e) = std::fs::write(dest, rendered) {
-                ui::error(format!("cannot write `{dest}`: {e}"));
-                return ExitCode::FAILURE;
-            }
+            write_file(dest, rendered, None)?;
             ui::note(format!(
                 "converted `{input}` ({}) -> {to} at `{dest}`",
                 from.label()
@@ -1101,66 +797,39 @@ fn cmd_convert(args: &[String]) -> ExitCode {
         }
         None => print!("{rendered}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> ExitCode {
-    let mut spec_path: Option<&str> = None;
-    let mut scenario_index: Option<usize> = None;
-    let mut trial: Option<usize> = None;
-    let mut trace_json: Option<&str> = None;
+fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
+    let (mut spec_path, mut scenario_index, mut trial, mut trace_json) = (None, None, None, None);
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scenario" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => scenario_index = Some(n),
-                _ => return usage_error("--scenario needs an index"),
-            },
-            "--trial" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) => trial = Some(n),
-                _ => return usage_error("--trial needs an index"),
-            },
-            "--trace-json" => match take_value(args, &mut i) {
-                Some(v) => trace_json = Some(v),
-                None => return usage_error("--trace-json needs a value"),
-            },
-            "-q" | "--quiet" => {}
-            other if spec_path.is_none() && !other.starts_with('-') => {
-                spec_path = Some(other);
-            }
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        match arg {
+            "--scenario" => scenario_index = Some(args.parse::<usize>(arg)?),
+            "--trial" => trial = Some(args.parse::<usize>(arg)?),
+            "--trace-json" => trace_json = Some(args.value(arg)?),
+            other => positional(&mut spec_path, other)?,
         }
-        i += 1;
     }
-    let Some(spec_path) = spec_path else {
-        return usage_error("inspect needs a spec file");
-    };
+    let spec_path = spec_path.ok_or_else(|| usage("inspect needs a spec file"))?;
     let (Some(scenario_index), Some(trial)) = (scenario_index, trial) else {
-        return usage_error("inspect needs --scenario and --trial");
+        return Err(usage("inspect needs --scenario and --trial"));
     };
 
-    let spec = match load_spec(spec_path) {
-        Ok(spec) => spec,
-        Err(message) => {
-            ui::error(message);
-            return ExitCode::FAILURE;
-        }
-    };
+    let spec = load_spec(spec_path)?;
     let scenarios = spec.scenarios();
-    let Some(scenario) = scenarios.get(scenario_index) else {
-        ui::error(format!(
+    let scenario = scenarios.get(scenario_index).ok_or_else(|| {
+        fail(format!(
             "scenario index {scenario_index} out of range (grid has {} scenarios)",
             scenarios.len()
-        ));
-        return ExitCode::FAILURE;
-    };
+        ))
+    })?;
     if trial >= spec.trials_per_scenario {
-        ui::error(format!(
+        return Err(fail(format!(
             "trial index {trial} out of range ({} trials per scenario)",
             spec.trials_per_scenario
-        ));
-        return ExitCode::FAILURE;
+        )));
     }
 
     // The traced path is the campaign trial kernel with recording on:
@@ -1170,158 +839,83 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
         "scenario {scenario_index} trial {trial}: status {:?}, seed {}",
         outcome.status, outcome.seed
     ));
-    match serde_json::to_string_pretty(&outcome) {
-        Ok(json) => println!("{json}"),
-        Err(e) => {
-            ui::error(format!("cannot serialise the trial outcome: {e}"));
-            return ExitCode::FAILURE;
-        }
-    }
+    let json = serde_json::to_string_pretty(&outcome)
+        .map_err(|e| fail(format!("cannot serialise the trial outcome: {e}")))?;
+    println!("{json}");
 
     if let Some(path) = trace_json {
         let trace = full.as_ref().and_then(|f| f.simulation.trace.as_ref());
-        let Some(trace) = trace else {
-            ui::error(format!(
+        let trace = trace.ok_or_else(|| {
+            fail(format!(
                 "no execution trace: trial status is {:?} (only accepted \
                  design_and_validate trials simulate)",
                 outcome.status
-            ));
-            return ExitCode::FAILURE;
-        };
+            ))
+        })?;
         let json = serde_json::to_string_pretty(trace).expect("traces always serialise");
-        if let Err(e) = std::fs::write(path, json) {
-            ui::error(format!("cannot write `{path}`: {e}"));
-            return ExitCode::FAILURE;
-        }
-        ui::note(format!(
-            "wrote execution trace ({} slices, {} job records) to {path}",
+        let what = format!(
+            "execution trace ({} slices, {} job records)",
             trace.slices.len(),
             trace.jobs.len()
-        ));
+        );
+        write_file(path, json, Some(&what))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_metrics_strip(args: &[String]) -> ExitCode {
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "-q" | "--quiet"))
-        .collect();
-    let [path] = files.as_slice() else {
-        return usage_error("metrics-strip needs exactly one metrics file");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            ui::error(format!("cannot read `{path}`: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let metrics: RunMetrics = match serde_json::from_str(&text) {
-        Ok(metrics) => metrics,
-        Err(e) => {
-            ui::error(format!("cannot parse `{path}`: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_metrics_strip(args: &[String]) -> Result<(), CliError> {
+    let path = Cursor::new(args).lone_path("metrics-strip needs exactly one metrics file")?;
+    let metrics = read_metrics(path)?;
     // Only the deterministic half survives: the output is suitable for
     // byte comparison across thread counts and shard splits.
-    match serde_json::to_string_pretty(&metrics.counters) {
-        Ok(json) => println!("{json}"),
-        Err(e) => {
-            ui::error(format!("cannot serialise the counter half: {e}"));
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let json = serde_json::to_string_pretty(&metrics.counters)
+        .map_err(|e| fail(format!("cannot serialise the counter half: {e}")))?;
+    println!("{json}");
+    Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    use ftsched_serve::{AdmissionEngine, EngineConfig, DEFAULT_MAX_FRAME_BYTES};
-
-    let mut replay_file: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut socket: Option<&str> = None;
-    let mut summary_json: Option<&str> = None;
-    let mut batch_size: usize = 32;
-    let mut max_frame_bytes: usize = DEFAULT_MAX_FRAME_BYTES;
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let (mut replay_file, mut out, mut socket, mut summary_json) = (None, None, None, None);
+    let mut batch_size = 32;
+    let mut max_frame_bytes = DEFAULT_MAX_FRAME_BYTES;
     let mut config = EngineConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--replay" => match take_value(args, &mut i) {
-                Some(v) => replay_file = Some(v),
-                None => return usage_error("--replay needs a value"),
-            },
-            "--out" => match take_value(args, &mut i) {
-                Some(v) => out = Some(v),
-                None => return usage_error("--out needs a value"),
-            },
-            "--socket" => match take_value(args, &mut i) {
-                Some(v) => socket = Some(v),
-                None => return usage_error("--socket needs a value"),
-            },
-            "--summary-json" => match take_value(args, &mut i) {
-                Some(v) => summary_json = Some(v),
-                None => return usage_error("--summary-json needs a value"),
-            },
-            "--batch-size" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) if n >= 1 => batch_size = n,
-                _ => return usage_error("--batch-size needs a number >= 1"),
-            },
-            "--max-frame-bytes" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) if n >= 1 => max_frame_bytes = n,
-                _ => return usage_error("--max-frame-bytes needs a number >= 1"),
-            },
-            "--cache-capacity" => match take_value(args, &mut i).map(str::parse) {
-                Some(Ok(n)) if n >= 1 => config.cache_capacity = n,
-                _ => return usage_error("--cache-capacity needs a number >= 1"),
-            },
+
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        match arg {
+            "--replay" => replay_file = Some(args.value(arg)?),
+            "--out" => out = Some(args.value(arg)?),
+            "--socket" => socket = Some(args.value(arg)?),
+            "--summary-json" => summary_json = Some(args.value(arg)?),
+            "--batch-size" => batch_size = args.count(arg)?,
+            "--max-frame-bytes" => max_frame_bytes = args.count(arg)?,
+            "--cache-capacity" => config.cache_capacity = args.count(arg)?,
             "--no-cache" => config.cache = false,
-            "-q" | "--quiet" => {}
-            other => return usage_error(&format!("unexpected argument `{other}`")),
+            other => return Err(unexpected(other)),
         }
-        i += 1;
     }
     if socket.is_some() && replay_file.is_some() {
-        return usage_error("--socket and --replay are mutually exclusive");
+        return Err(usage("--socket and --replay are mutually exclusive"));
+    }
+    if out.is_some() && replay_file.is_none() {
+        return Err(usage("serve --out needs --replay"));
     }
 
     let engine = AdmissionEngine::new(config);
 
     if let Some(path) = replay_file {
-        let log = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                ui::error(format!("cannot read `{path}`: {e}"));
-                return ExitCode::FAILURE;
+        let log = read_text(path)?;
+        let replay_error = |e: std::io::Error| fail(format!("replay failed: {e}"));
+        let stats = match out {
+            Some(out_path) => {
+                let mut transcript = Vec::new();
+                let stats = ftsched_serve::replay(&engine, &log, &mut transcript, batch_size)
+                    .map_err(replay_error)?;
+                write_file(out_path, transcript, None)?;
+                stats
             }
-        };
-        let stats = if let Some(out_path) = out {
-            let mut transcript = Vec::new();
-            match ftsched_serve::replay(&engine, &log, &mut transcript, batch_size) {
-                Ok(stats) => {
-                    if let Err(e) = std::fs::write(out_path, &transcript) {
-                        ui::error(format!("cannot write `{out_path}`: {e}"));
-                        return ExitCode::FAILURE;
-                    }
-                    stats
-                }
-                Err(e) => {
-                    ui::error(format!("replay failed: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            match ftsched_serve::replay(&engine, &log, &mut lock, batch_size) {
-                Ok(stats) => stats,
-                Err(e) => {
-                    ui::error(format!("replay failed: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            }
+            None => ftsched_serve::replay(&engine, &log, &mut std::io::stdout().lock(), batch_size)
+                .map_err(replay_error)?,
         };
         ui::note(format!(
             "replayed {} requests -> {} responses",
@@ -1336,52 +930,38 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             // A stale socket file from a previous run would make bind
             // fail with AddrInUse even though nobody is listening.
             let _ = std::fs::remove_file(path);
-            let listener = match std::os::unix::net::UnixListener::bind(path) {
-                Ok(listener) => listener,
-                Err(e) => {
-                    ui::error(format!("cannot bind `{path}`: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
+            let listener = std::os::unix::net::UnixListener::bind(path)
+                .map_err(|e| fail(format!("cannot bind `{path}`: {e}")))?;
             ui::note(format!("listening on `{path}`"));
             let engine = std::sync::Arc::new(engine);
-            if let Err(e) = ftsched_serve::serve_unix(&engine, &listener, max_frame_bytes) {
-                ui::error(format!("accept failed: {e}"));
-                return ExitCode::FAILURE;
-            }
-            return ExitCode::SUCCESS;
+            return ftsched_serve::serve_unix(&engine, &listener, max_frame_bytes)
+                .map_err(|e| fail(format!("accept failed: {e}")));
         }
         #[cfg(not(unix))]
         {
-            ui::error(format!(
+            return Err(fail(format!(
                 "--socket `{path}` is only supported on unix platforms"
-            ));
-            return ExitCode::FAILURE;
+            )));
         }
     }
 
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut reader = stdin.lock();
-    let mut writer = stdout.lock();
-    match ftsched_serve::serve_stream(&engine, &mut reader, &mut writer, max_frame_bytes) {
-        Ok(stats) => {
-            ui::note(format!(
-                "served {} responses ({} protocol errors)",
-                stats.responses, stats.protocol_errors
-            ));
-            finish_serve(&engine, summary_json)
-        }
-        Err(e) => {
-            ui::error(format!("stream failed: {e}"));
-            ExitCode::FAILURE
-        }
-    }
+    let stats = ftsched_serve::serve_stream(
+        &engine,
+        &mut std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+        max_frame_bytes,
+    )
+    .map_err(|e| fail(format!("stream failed: {e}")))?;
+    ui::note(format!(
+        "served {} responses ({} protocol errors)",
+        stats.responses, stats.protocol_errors
+    ));
+    finish_serve(&engine, summary_json)
 }
 
-/// Reports the engine summary (stderr note + optional JSON file) and
-/// converts it into the subcommand's exit status.
-fn finish_serve(engine: &ftsched_serve::AdmissionEngine, summary_json: Option<&str>) -> ExitCode {
+/// Reports the engine summary as a stderr note and, with
+/// `--summary-json`, as a JSON file.
+fn finish_serve(engine: &AdmissionEngine, summary_json: Option<&str>) -> Result<(), CliError> {
     let summary = engine.summary();
     ui::note(format!(
         "admitted {} / rejected {} / errors {}; latency p50 {:.0} us, p95 {:.0} us, \
@@ -1398,152 +978,106 @@ fn finish_serve(engine: &ftsched_serve::AdmissionEngine, summary_json: Option<&s
         summary.context_cache_hits + summary.context_cache_misses,
     ));
     if let Some(path) = summary_json {
-        let json = match serde_json::to_string_pretty(&summary) {
-            Ok(json) => json,
-            Err(e) => {
-                ui::error(format!("cannot serialise the serve summary: {e}"));
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            ui::error(format!("cannot write `{path}`: {e}"));
-            return ExitCode::FAILURE;
-        }
+        let json = serde_json::to_string_pretty(&summary)
+            .map_err(|e| fail(format!("cannot serialise the serve summary: {e}")))?;
+        write_file(path, json + "\n", None)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
+fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     use ftsched_bench::perf::{
         check_minq_contract, check_sensitivity_contract, check_serve_contract, check_sim_contract,
         render_summary, run_minq_bench, run_sensitivity_bench, run_serve_bench, run_sim_bench,
-        write_report,
+        write_report, BenchReport,
     };
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let only_minq = args.iter().any(|a| a == "--minq");
-    let only_sim = args.iter().any(|a| a == "--sim");
-    let only_sensitivity = args.iter().any(|a| a == "--sensitivity");
-    let only_serve = args.iter().any(|a| a == "--serve");
-    if let Some(bad) = args.iter().find(|a| {
-        !matches!(
-            a.as_str(),
-            "--quick" | "--minq" | "--sim" | "--sensitivity" | "--serve" | "-q" | "--quiet"
-        )
-    }) {
-        return usage_error(&format!("unexpected argument `{bad}`"));
-    }
-    let any_selected = only_minq || only_sim || only_sensitivity || only_serve;
-    let run_minq = only_minq || !any_selected;
-    let run_sim = only_sim || !any_selected;
-    let run_sensitivity = only_sensitivity || !any_selected;
-    let run_serve = only_serve || !any_selected;
-
-    let mut failed = false;
-    for (enabled, file, report) in [
-        (run_minq, "BENCH_minq.json", run_minq_bench as fn(bool) -> _),
+    type Run = fn(bool) -> BenchReport;
+    type Contract = fn(&BenchReport) -> Result<(), String>;
+    // (selecting flag, output file, bench, its perf contract), in run order.
+    let benches: [(&str, &str, Run, Contract); 4] = [
         (
-            run_sensitivity,
+            "--minq",
+            "BENCH_minq.json",
+            run_minq_bench,
+            check_minq_contract,
+        ),
+        (
+            "--sensitivity",
             "BENCH_sensitivity.json",
-            run_sensitivity_bench as fn(bool) -> _,
+            run_sensitivity_bench,
+            check_sensitivity_contract,
         ),
-        (run_sim, "BENCH_sim.json", run_sim_bench as fn(bool) -> _),
+        ("--sim", "BENCH_sim.json", run_sim_bench, check_sim_contract),
         (
-            run_serve,
+            "--serve",
             "BENCH_serve.json",
-            run_serve_bench as fn(bool) -> _,
+            run_serve_bench,
+            check_serve_contract,
         ),
-    ] {
-        if !enabled {
+    ];
+
+    let mut quick = false;
+    let mut selected = Vec::new();
+    let mut args = Cursor::new(args);
+    while let Some(arg) = args.next_arg()? {
+        match arg {
+            "--quick" => quick = true,
+            flag if benches.iter().any(|bench| bench.0 == flag) => selected.push(flag),
+            other => return Err(unexpected(other)),
+        }
+    }
+
+    // A failed write or contract does not stop the later benches; every
+    // failure is reported once they have all run.
+    let mut failures = Vec::new();
+    for (flag, file, run, contract) in benches {
+        if !selected.is_empty() && !selected.contains(&flag) {
             continue;
         }
-        let report = report(quick);
+        let report = run(quick);
         print!("{}", render_summary(&report));
         println!("{}", report.to_json());
         match write_report(&report, file) {
             Ok(path) => ui::note(format!("wrote {}", path.display())),
-            Err(e) => {
-                ui::error(format!("cannot write `{file}`: {e}"));
-                failed = true;
-            }
+            Err(e) => failures.push(format!("cannot write `{file}`: {e}")),
         }
-        let contract = match report.bench.as_str() {
-            "minq" => Some(check_minq_contract(&report)),
-            "sensitivity" => Some(check_sensitivity_contract(&report)),
-            "serve" => Some(check_serve_contract(&report)),
-            "sim" => Some(check_sim_contract(&report)),
-            _ => None,
-        };
-        if let Some(Err(violation)) = contract {
-            ui::error(format!("PERF CONTRACT VIOLATED: {violation}"));
-            failed = true;
+        if let Err(violation) = contract(&report) {
+            failures.push(format!("PERF CONTRACT VIOLATED: {violation}"));
         }
     }
-    if failed {
-        ExitCode::FAILURE
+    if failures.is_empty() {
+        Ok(())
     } else {
-        ExitCode::SUCCESS
+        Err(fail(failures.join("; ")))
     }
 }
 
-fn cmd_validate(args: &[String]) -> ExitCode {
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "-q" | "--quiet"))
-        .collect();
-    let Some(path) = files.first() else {
-        return usage_error("validate needs a spec file");
-    };
-    match load_spec(path) {
-        Ok(spec) => {
-            let algorithms = spec.algorithms.len();
-            let overheads = spec.effective_overheads().len();
-            let heuristics = spec.effective_partition_heuristics().len();
-            let workload_points =
-                spec.scenarios().len() / (algorithms * overheads * heuristics).max(1);
-            println!(
-                "`{}` is valid: {} scenarios ({algorithms} algorithms x \
-                 {overheads} overheads x {heuristics} heuristics x \
-                 {workload_points} workload points), \
-                 {} trials per scenario, {} trials total",
-                spec.name,
-                spec.scenarios().len(),
-                spec.trials_per_scenario,
-                spec.trial_count(),
-            );
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            ui::error(message);
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_validate(args: &[String]) -> Result<(), CliError> {
+    let path = Cursor::new(args).lone_path("validate needs a spec file")?;
+    let spec = load_spec(path)?;
+    let algorithms = spec.algorithms.len();
+    let overheads = spec.effective_overheads().len();
+    let heuristics = spec.effective_partition_heuristics().len();
+    let workload_points = spec.scenarios().len() / (algorithms * overheads * heuristics).max(1);
+    println!(
+        "`{}` is valid: {} scenarios ({algorithms} algorithms x \
+         {overheads} overheads x {heuristics} heuristics x \
+         {workload_points} workload points), \
+         {} trials per scenario, {} trials total",
+        spec.name,
+        spec.scenarios().len(),
+        spec.trials_per_scenario,
+        spec.trial_count(),
+    );
+    Ok(())
 }
 
-fn load_spec(path: &str) -> Result<CampaignSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let spec: CampaignSpec =
-        serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))?;
-    spec.validate().map_err(|e| format!("`{path}`: {e}"))?;
+fn load_spec(path: &str) -> Result<CampaignSpec, CliError> {
+    let spec: CampaignSpec = serde_json::from_str(&read_text(path)?)
+        .map_err(|e| fail(format!("cannot parse `{path}`: {e}")))?;
+    spec.validate()
+        .map_err(|e| fail(format!("`{path}`: {e}")))?;
     Ok(spec)
-}
-
-fn take_value<'a>(args: &'a [String], i: &mut usize) -> Option<&'a str> {
-    *i += 1;
-    args.get(*i).map(String::as_str)
-}
-
-fn usage_error(message: &str) -> ExitCode {
-    ui::error(format!("{message}\n\n{USAGE}"));
-    ExitCode::FAILURE
-}
-
-/// A one-line rejection of a bad argument *value*: just the reason,
-/// without re-printing the whole usage text (the flag was right, its
-/// value was not).
-fn value_error(message: &str) -> ExitCode {
-    ui::error(message);
-    ExitCode::FAILURE
 }
 
 /// Best-effort shard-coordinate extraction from a report that no longer
@@ -1551,23 +1085,18 @@ fn value_error(message: &str) -> ExitCode {
 /// block wherever it survives in the damaged text (it serialises after
 /// the scenario rows, so mid-file corruption usually leaves it intact).
 fn guess_shard(text: &str) -> Option<String> {
-    let at = text.find("\"shard\"")?;
-    let window = text
-        .get(at..(at + 256).min(text.len()))
-        .unwrap_or(&text[at..]);
+    let window = &text[text.find("\"shard\"")?..];
+    let window = window.get(..256).unwrap_or(window);
     let number_after = |key: &str| -> Option<u64> {
-        let start = window.find(key)? + key.len();
-        let rest = window[start..].trim_start_matches([':', ' ', '\t', '\n', '\r']);
-        let digits = rest
+        let rest = &window[window.find(key)? + key.len()..];
+        let rest = rest.trim_start_matches([':', ' ', '\t', '\n', '\r']);
+        let end = rest
             .find(|c: char| !c.is_ascii_digit())
-            .map_or(rest, |end| &rest[..end]);
-        digits.parse().ok()
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
     };
-    Some(format!(
-        "{}/{}",
-        number_after("\"index\"")?,
-        number_after("\"count\"")?
-    ))
+    let (index, count) = (number_after("\"index\"")?, number_after("\"count\"")?);
+    Some(format!("{index}/{count}"))
 }
 
 /// The spec printed by `ftsched example` — built in code so it can never

@@ -303,3 +303,145 @@ fn allow_partial_emits_a_gap_annotated_report_and_succeeds() {
     assert!(dir.join("ckpt").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The parent's `ftsched --help` output, byte for byte.
+const HELP: &str = include_str!("../../../tests/golden/cli_help.txt");
+
+#[test]
+fn help_matches_the_golden_text() {
+    let output = bin().arg("--help").output().unwrap();
+    assert!(output.status.success());
+    assert_eq!(String::from_utf8_lossy(&output.stdout), HELP);
+}
+
+#[test]
+fn every_argument_mistake_is_rejected_before_any_work() {
+    let (dir, spec) = scratch_with_spec("argtable");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (spec, out, ckpt, missing) = (
+        spec.to_str().unwrap(),
+        path("rejected.json"),
+        path("ckpt"),
+        path("missing.json"),
+    );
+    // (arguments, exit success?, fragment): a failure's stderr must hold
+    // the fragment; a success is a help request and prints exactly the
+    // usage text to stdout.
+    let mut cases: Vec<(Vec<&str>, bool, String)> = vec![
+        (
+            vec!["validate", spec, "--bogus"],
+            false,
+            "unexpected argument `--bogus`".into(),
+        ),
+        (
+            vec!["validate", spec, &missing],
+            false,
+            format!("unexpected argument `{missing}`"),
+        ),
+        (
+            vec!["metrics-strip", "--bogus"],
+            false,
+            "unexpected argument `--bogus`".into(),
+        ),
+        (
+            vec!["run", spec, "--latency-csv", "l.csv", "--out", &out, "-q"],
+            false,
+            "--latency-csv needs a spec with `latency_curves` enabled".into(),
+        ),
+        (
+            vec![
+                "orchestrate",
+                spec,
+                "--shards",
+                "2",
+                "--checkpoint-dir",
+                &ckpt,
+            ]
+            .into_iter()
+            .chain(["--response-csv", "r.csv", "--out", &out, "-q"])
+            .collect(),
+            false,
+            "--response-csv needs a spec with `response_histogram` enabled".into(),
+        ),
+        (
+            vec!["serve", "--out", &out],
+            false,
+            "serve --out needs --replay".into(),
+        ),
+        (
+            vec!["run", spec, "--threads"],
+            false,
+            "--threads needs a value".into(),
+        ),
+    ];
+    let numeric: [(&[&str], &[&str]); 4] = [
+        (&["run", spec], &["--threads"]),
+        (
+            &["orchestrate", spec, "--shards", "2"],
+            &[
+                "--workers",
+                "--worker-threads",
+                "--max-retries",
+                "--backoff-ms",
+                "--timeout-secs",
+            ],
+        ),
+        (
+            &["inspect", spec, "--scenario", "0", "--trial", "0"],
+            &["--scenario", "--trial"],
+        ),
+        (
+            &["serve"],
+            &["--batch-size", "--max-frame-bytes", "--cache-capacity"],
+        ),
+    ];
+    for (command, flags) in numeric {
+        for &flag in flags {
+            let args = command.iter().copied().chain([flag, "x"]).collect();
+            cases.push((args, false, format!("invalid {flag} value `x`")));
+        }
+    }
+    for command in [
+        "run",
+        "orchestrate",
+        "merge",
+        "convert",
+        "inspect",
+        "metrics-strip",
+        "validate",
+        "serve",
+        "bench",
+    ] {
+        for help in ["--help", "-h"] {
+            cases.push((vec![command, help], true, String::new()));
+        }
+    }
+
+    for (args, success, fragment) in &cases {
+        let output = bin()
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        let err = stderr(&output);
+        assert_eq!(output.status.success(), *success, "{args:?}: {err}");
+        if *success {
+            assert_eq!(String::from_utf8_lossy(&output.stdout), HELP, "{args:?}");
+        } else {
+            assert!(
+                err.contains(fragment.as_str()),
+                "{args:?}: {err:?} lacks {fragment:?}"
+            );
+        }
+    }
+    // The rejected CSV sinks stopped their commands before anything ran.
+    assert!(
+        !dir.join("rejected.json").exists(),
+        "a rejected command wrote --out"
+    );
+    assert!(
+        !dir.join("ckpt").exists(),
+        "a rejected orchestrate made checkpoints"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
