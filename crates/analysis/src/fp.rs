@@ -141,17 +141,6 @@ pub fn schedulable_with_supply(
     true
 }
 
-/// The slack of the paper's Eq. 4 for a single task: the largest value of
-/// `t − W_i(t)/α` over the task's scheduling points. The task is
-/// schedulable on a linear supply `(α, Δ)` iff this slack is at least `Δ`.
-pub fn theorem1_slack(task: &Task, hp: &[Task], alpha: f64) -> f64 {
-    let points = scheduling_points(task.deadline, hp);
-    points
-        .iter()
-        .map(|&t| t - fp_workload(task, hp, t) / alpha)
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,13 +277,6 @@ mod tests {
             PriorityOrder::RateMonotonic,
             &ok
         ));
-    }
-
-    #[test]
-    fn theorem1_slack_matches_manual_computation() {
-        let t = task(1, 1.0, 4.0);
-        // no hp, α = 0.5 → slack = 4 − 1/0.5 = 2.
-        assert!((theorem1_slack(&t, &[], 0.5) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`fp`] — fixed-priority analysis: classic response-time analysis on a
 //!   dedicated processor, utilisation bounds, and the hierarchical test of
 //!   Theorem 1.
-//! * [`edf`] — EDF analysis: processor-demand criterion on a dedicated
+//! * [`edf`] — EDF analysis: processor-demand test on a dedicated
 //!   processor and the hierarchical test of Theorem 2.
 //! * [`minq`] — the inversion of those tests into the minimum slot quantum
 //!   `minQ(T, alg, P)` of Eq. 6 (FP) and Eq. 11 (EDF), the function the

@@ -291,13 +291,6 @@ impl MinQSweep {
         self.algorithm
     }
 
-    /// The uniform WCET inflation factor the current loads are baked for,
-    /// relative to the base task set the sweep was built from (`1.0`
-    /// after [`Self::new`]).
-    pub fn wcet_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// The sweep for every base WCET multiplied by `lambda` (clamped at
     /// the task deadline, matching the sensitivity search's problem
     /// clone): shares this sweep's enumeration and recomputes only the
@@ -651,7 +644,6 @@ mod tests {
             for lambda in [1.0, 1.3, 2.0, 4.0, 8.0] {
                 let scaled = base.with_scaled_wcets(lambda);
                 let rebuilt = MinQSweep::new(&scaled_set(&ts, lambda), alg).unwrap();
-                assert_eq!(scaled.wcet_scale(), lambda);
                 assert_eq!(scaled.len(), rebuilt.len());
                 for i in 1..=40 {
                     let p = i as f64 * 0.11;

@@ -1,11 +1,15 @@
-//! Shared helpers for the `ftsched` experiment binaries and Criterion
-//! benchmarks.
+//! Shared helpers for the `ftsched` experiment binaries, and the
+//! `ftsched bench` perf ledger.
 //!
 //! Every experiment binary in `src/bin/` regenerates one table or figure of
-//! the paper (or one of the extension experiments listed in `DESIGN.md`)
-//! and prints it to stdout in a stable, diff-friendly format. The helpers
-//! here keep the binaries short: the paper design problems and common
-//! table formatting.
+//! the paper (or the supply-bound ablation) and prints it to stdout in a
+//! stable, diff-friendly format. The helpers here keep the binaries short:
+//! the paper design problems and common table formatting.
+//!
+//! Modules:
+//!
+//! * [`perf`] — the timed workloads behind `ftsched bench`, which write the
+//!   `BENCH_*.json` ledger at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

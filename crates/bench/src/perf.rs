@@ -175,7 +175,7 @@ struct Measurement {
 }
 
 /// Times `f` in two phases. **Calibration** grows the batch size until
-/// one batch exceeds the time budget (criterion-style, no statistics).
+/// one batch exceeds the time budget.
 /// **Measurement** then runs several fixed-size batches, with the batch
 /// size additionally floored at a minimum iteration count — the
 /// historical single-final-batch scheme could time a 40 ms case off a

@@ -533,11 +533,6 @@ impl SimAggregate {
         mean(self.sum_slack_bandwidth.value(), self.runs)
     }
 
-    /// Mean per-trial worst response time.
-    pub fn mean_max_response_time(&self) -> f64 {
-        mean(self.sum_max_response_time.value(), self.runs)
-    }
-
     /// All per-task response histograms pooled into one (exact: integer
     /// counts over a shared binning). `None` when no histograms were
     /// collected.
@@ -811,7 +806,6 @@ mod tests {
         let stats = ScenarioStats::default();
         assert_eq!(stats.acceptance_ratio(), 0.0);
         assert_eq!(stats.sim.mean_period(), 0.0);
-        assert_eq!(stats.sim.mean_max_response_time(), 0.0);
         assert!(stats.sim.pooled_response().is_none());
     }
 

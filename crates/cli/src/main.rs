@@ -215,9 +215,7 @@ fn main() -> ExitCode {
         Some("validate") => cmd_validate(rest),
         Some("serve") => cmd_serve(rest),
         Some("bench") => cmd_bench(rest),
-        Some("example") => serde_json::to_string_pretty(&example_spec())
-            .map(|json| println!("{json}"))
-            .map_err(|e| fail(format!("cannot serialise the example spec: {e}"))),
+        Some("example") => cmd_example(rest),
         Some("--help" | "-h" | "help") | None => Err(CliError::Help),
         Some(other) => Err(usage(format!("unknown command `{other}`"))),
     };
@@ -734,6 +732,19 @@ fn fold_partial(fold: &mut MergeFold, path: &str, number: usize) -> Result<(), C
     Ok(())
 }
 
+/// The `convert --to` value, checked where it is parsed so that a bad
+/// target fails before the input is read.
+fn convert_target<'a>(flag: &str, args: &mut Cursor<'a>) -> Result<&'a str, CliError> {
+    let value = args.value(flag)?;
+    match value {
+        "json" | "columnar" | "csv" | "response-csv" | "latency-csv" => Ok(value),
+        _ => Err(fail(format!(
+            "invalid {flag} value `{value}`: expected json, columnar, csv, \
+             response-csv or latency-csv"
+        ))),
+    }
+}
+
 fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     let (mut input, mut from, mut to, mut out) = (None, None, None, None);
 
@@ -741,7 +752,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     while let Some(arg) = args.next_arg()? {
         match arg {
             "--from" => from = Some(report_format(arg, &mut args)?),
-            "--to" => to = Some(args.value(arg)?),
+            "--to" => to = Some(convert_target(arg, &mut args)?),
             "--out" => out = Some(args.value(arg)?),
             other => positional(&mut input, other)?,
         }
@@ -779,12 +790,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
         "latency-csv" => report.latency_csv().ok_or_else(|| {
             fail("--to latency-csv needs a report whose spec enables `latency_curves`")
         })?,
-        other => {
-            return Err(fail(format!(
-                "invalid --to value `{other}`: expected json, columnar, csv, \
-                 response-csv or latency-csv"
-            )))
-        }
+        other => unreachable!("`--to {other}` passed convert_target"),
     };
 
     match out {
@@ -1050,6 +1056,16 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     } else {
         Err(fail(failures.join("; ")))
     }
+}
+
+fn cmd_example(args: &[String]) -> Result<(), CliError> {
+    if let Some(arg) = Cursor::new(args).next_arg()? {
+        return Err(unexpected(arg));
+    }
+    let json = serde_json::to_string_pretty(&example_spec())
+        .map_err(|e| fail(format!("cannot serialise the example spec: {e}")))?;
+    println!("{json}");
+    Ok(())
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), CliError> {

@@ -344,6 +344,17 @@ fn every_argument_mistake_is_rejected_before_any_work() {
             "unexpected argument `--bogus`".into(),
         ),
         (
+            vec!["example", "--bogus"],
+            false,
+            "unexpected argument `--bogus`".into(),
+        ),
+        // `--to` is checked before the (here nonexistent) input is read.
+        (
+            vec!["convert", &missing, "--to", "bogus"],
+            false,
+            "invalid --to value `bogus`".into(),
+        ),
+        (
             vec!["run", spec, "--latency-csv", "l.csv", "--out", &out, "-q"],
             false,
             "--latency-csv needs a spec with `latency_curves` enabled".into(),
@@ -411,6 +422,7 @@ fn every_argument_mistake_is_rejected_before_any_work() {
         "validate",
         "serve",
         "bench",
+        "example",
     ] {
         for help in ["--help", "-h"] {
             cases.push((vec![command, help], true, String::new()));

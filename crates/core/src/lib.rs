@@ -39,7 +39,7 @@
 //! |-------|----------|
 //! | [`ftsched_task`] | sporadic task model, modes, partitions, generators |
 //! | [`ftsched_analysis`] | supply functions, FP/EDF hierarchical tests, `minQ` |
-//! | [`ftsched_platform`] | the 4-core lock-step platform with fault injection |
+//! | [`ftsched_platform`] | channel layouts, fault model and per-mode job outcomes |
 //! | [`ftsched_sim`] | slot-based discrete-event scheduling simulator |
 //! | [`ftsched_design`] | feasible-period region, quanta selection, design goals |
 
@@ -74,10 +74,7 @@ pub mod prelude {
         },
         AnalysisContext, DesignGoal, DesignProblem, DesignSolution,
     };
-    pub use ftsched_platform::{
-        classify_outcome, Fault, FaultInjector, FaultModel, FaultSchedule, JobOutcome, Platform,
-        PlatformConfig,
-    };
+    pub use ftsched_platform::{classify_outcome, Fault, FaultModel, FaultSchedule, JobOutcome};
     pub use ftsched_sim::{
         simulate, simulate_in, FaultClassification, Schedule, ScheduleConfig, SimArena,
         SimulationConfig, SimulationReport, SlotSchedule,

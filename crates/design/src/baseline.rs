@@ -29,7 +29,7 @@
 //!
 //! The uniprocessor test is the one of [`edf::schedulable_dedicated`]
 //! (`U ≤ 1`, exact for implicit deadlines, else the processor-demand
-//! criterion up to the capped hyperperiod) and of
+//! test up to the capped hyperperiod) and of
 //! [`fp::schedulable_with_supply`] on a dedicated processor (Theorem 1's
 //! scheduling points, walked depth first up to the first point that
 //! passes). The static verdicts evaluate both on plain copies of each
@@ -265,7 +265,7 @@ fn priority_cmp(order: PriorityOrder, a: &Entry, b: &Entry) -> Ordering {
         .then(a.id.cmp(&b.id))
 }
 
-/// The processor-demand criterion `W(t) ≤ t` at every absolute deadline
+/// The processor-demand test `W(t) ≤ t` at every absolute deadline
 /// up to the capped hyperperiod, as [`edf::schedulable_dedicated`]
 /// checks it. Only constrained deadlines reach it (no generated workload
 /// has them), so it runs the analysis crate's own point set and demand

@@ -133,12 +133,6 @@ impl DesignProblem {
         Ok(period - quanta.total())
     }
 
-    /// Per-mode *whole-application* utilisations (not per-channel): how much
-    /// work each mode must absorb in total.
-    pub fn mode_utilizations(&self) -> PerMode<f64> {
-        PerMode::from_fn(|mode| self.tasks.mode_utilization(mode))
-    }
-
     /// Per-mode maximum channel utilisation — the "required utilisation" row
     /// of Table 2(a).
     ///
@@ -292,13 +286,6 @@ mod tests {
             })
             .unwrap();
         assert!((q.total_overhead() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_utilizations_sum_to_total() {
-        let p = paper_problem(Algorithm::EarliestDeadlineFirst);
-        let per_mode = p.mode_utilizations();
-        assert!((per_mode.total() - p.tasks.utilization()).abs() < 1e-12);
     }
 
     #[test]

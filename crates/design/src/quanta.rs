@@ -71,21 +71,6 @@ impl QuantaAllocation {
     pub fn slack_bandwidth(&self) -> f64 {
         self.slack / self.period
     }
-
-    /// Checks the internal consistency of the allocation: slots sum to at
-    /// most the period, every useful quantum is at least its minimum, and
-    /// slack accounts for the remainder.
-    pub fn is_consistent(&self) -> bool {
-        let sum_slots = self.slots.total();
-        let slack_ok = (self.period - sum_slots - self.slack).abs() < 1e-6;
-        let min_ok = Mode::ALL
-            .iter()
-            .all(|&m| self.useful[m] + 1e-9 >= self.min_useful[m] && self.useful[m] >= 0.0);
-        let slot_ok = Mode::ALL
-            .iter()
-            .all(|&m| (self.slots[m] - self.useful[m] - self.overheads[m]).abs() < 1e-9);
-        slack_ok && min_ok && slot_ok && self.slack >= -1e-9
-    }
 }
 
 /// Computes the minimal allocation at a given period: every useful quantum
@@ -149,6 +134,19 @@ mod tests {
         paper_problem(Algorithm::EarliestDeadlineFirst)
     }
 
+    /// Slots sum to at most the period, every useful quantum is at least
+    /// its minimum, and slack accounts for the remainder.
+    fn consistent(alloc: &QuantaAllocation) -> bool {
+        let slack_ok = (alloc.period - alloc.slots.total() - alloc.slack).abs() < 1e-6;
+        let min_ok = Mode::ALL
+            .iter()
+            .all(|&m| alloc.useful[m] + 1e-9 >= alloc.min_useful[m] && alloc.useful[m] >= 0.0);
+        let slot_ok = Mode::ALL
+            .iter()
+            .all(|&m| (alloc.slots[m] - alloc.useful[m] - alloc.overheads[m]).abs() < 1e-9);
+        slack_ok && min_ok && slot_ok && alloc.slack >= -1e-9
+    }
+
     #[test]
     fn table_2b_quanta_at_the_max_feasible_period() {
         // Paper Table 2(b): at P = 2.966 with O_tot = 0.05 the minimum
@@ -176,7 +174,7 @@ mod tests {
         assert!((bw.ft - 0.276).abs() < 0.005);
         assert!((bw.fs - 0.432).abs() < 0.005);
         assert!((bw.nf - 0.275).abs() < 0.005);
-        assert!(alloc.is_consistent());
+        assert!(consistent(&alloc));
     }
 
     #[test]
@@ -209,7 +207,7 @@ mod tests {
         assert!((bw.ft - 0.269).abs() < 0.005);
         assert!((bw.fs - 0.294).abs() < 0.01);
         assert!((bw.nf - 0.257).abs() < 0.005);
-        assert!(alloc.is_consistent());
+        assert!(consistent(&alloc));
     }
 
     #[test]
@@ -249,7 +247,7 @@ mod tests {
             SlackPolicy::AllTo(Mode::FaultTolerant),
         ] {
             let d = distribute_slack(&alloc, policy);
-            assert!(d.is_consistent(), "{policy:?}");
+            assert!(consistent(&d), "{policy:?}");
             let used = d.slots.total() + d.slack;
             assert!((used - d.period).abs() < 1e-6, "{policy:?}");
             // Distribution never shrinks any quantum.

@@ -1,149 +1,7 @@
-//! A single processor core.
-//!
-//! Cores execute abstract *work units*. The output of a work unit is a
-//! deterministic function of the task that issued it and of the unit's
-//! position inside the job, so that two fault-free cores executing the same
-//! unit in lock-step always produce identical outputs. A transient fault
-//! corrupts the core's architectural state; while the corruption is active
-//! the core's outputs differ from the fault-free value, which is exactly
-//! what the checker detects.
+//! Processor core identifiers.
 
 use serde::{Deserialize, Serialize};
 
 /// Identifier of one of the four physical cores (0–3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CoreId(pub usize);
-
-/// The output word a core presents to the checker for one work unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct OutputWord(pub u64);
-
-/// A single processor core with fault-corruptible state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Core {
-    /// This core's identifier.
-    pub id: CoreId,
-    /// Architectural-state corruption mask; zero when the core is healthy.
-    corruption: u64,
-    /// Total work units executed (for statistics).
-    executed_units: u64,
-    /// Work units executed while corrupted.
-    corrupted_units: u64,
-}
-
-impl Core {
-    /// Creates a healthy core.
-    pub fn new(id: CoreId) -> Self {
-        Core {
-            id,
-            corruption: 0,
-            executed_units: 0,
-            corrupted_units: 0,
-        }
-    }
-
-    /// Whether the core currently carries corrupted state.
-    pub fn is_corrupted(&self) -> bool {
-        self.corruption != 0
-    }
-
-    /// Injects a transient fault: the given non-zero mask corrupts all
-    /// subsequent outputs until [`Core::recover`] is called.
-    pub fn inject_fault(&mut self, mask: u64) {
-        self.corruption = if mask == 0 { 1 } else { mask };
-    }
-
-    /// Clears the corruption (end of the transient window / state
-    /// re-synchronisation at the next job boundary).
-    pub fn recover(&mut self) {
-        self.corruption = 0;
-    }
-
-    /// Executes one work unit of `task_seed` at position `unit_index` and
-    /// returns the output word presented to the checker.
-    pub fn execute_unit(&mut self, task_seed: u64, unit_index: u64) -> OutputWord {
-        self.executed_units += 1;
-        let correct = golden_output(task_seed, unit_index);
-        if self.corruption != 0 {
-            self.corrupted_units += 1;
-            OutputWord(correct.0 ^ self.corruption)
-        } else {
-            correct
-        }
-    }
-
-    /// Number of work units this core has executed.
-    pub fn executed_units(&self) -> u64 {
-        self.executed_units
-    }
-
-    /// Number of work units executed while the core was corrupted.
-    pub fn corrupted_units(&self) -> u64 {
-        self.corrupted_units
-    }
-}
-
-/// The fault-free output of a work unit: a simple 64-bit mix of the task
-/// seed and unit index (splitmix64 finaliser). Any two healthy cores agree
-/// on it.
-pub fn golden_output(task_seed: u64, unit_index: u64) -> OutputWord {
-    let mut z = task_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(unit_index.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    OutputWord(z ^ (z >> 31))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn healthy_cores_agree_on_every_unit() {
-        let mut a = Core::new(CoreId(0));
-        let mut b = Core::new(CoreId(1));
-        for unit in 0..100 {
-            assert_eq!(a.execute_unit(42, unit), b.execute_unit(42, unit));
-        }
-        assert_eq!(a.executed_units(), 100);
-        assert_eq!(a.corrupted_units(), 0);
-    }
-
-    #[test]
-    fn different_tasks_produce_different_outputs() {
-        let mut a = Core::new(CoreId(0));
-        let x = a.execute_unit(1, 0);
-        let y = a.execute_unit(2, 0);
-        assert_ne!(x, y);
-    }
-
-    #[test]
-    fn corrupted_core_diverges_and_recovers() {
-        let mut healthy = Core::new(CoreId(0));
-        let mut faulty = Core::new(CoreId(1));
-        faulty.inject_fault(0xDEAD_BEEF);
-        assert!(faulty.is_corrupted());
-        assert_ne!(healthy.execute_unit(7, 0), faulty.execute_unit(7, 0));
-        assert_eq!(faulty.corrupted_units(), 1);
-        faulty.recover();
-        assert!(!faulty.is_corrupted());
-        assert_eq!(healthy.execute_unit(7, 1), faulty.execute_unit(7, 1));
-    }
-
-    #[test]
-    fn zero_mask_still_corrupts() {
-        let mut c = Core::new(CoreId(2));
-        c.inject_fault(0);
-        assert!(c.is_corrupted());
-        assert_ne!(c.execute_unit(3, 0), golden_output(3, 0));
-    }
-
-    #[test]
-    fn golden_output_is_deterministic() {
-        assert_eq!(golden_output(5, 9), golden_output(5, 9));
-        assert_ne!(golden_output(5, 9), golden_output(5, 10));
-        assert_ne!(golden_output(5, 9), golden_output(6, 9));
-    }
-}

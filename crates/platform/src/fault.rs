@@ -5,8 +5,7 @@
 //! short bounded window, and are rare enough that at most one is active at
 //! any time. [`FaultSchedule`] captures a concrete list of such faults —
 //! either hand-written for directed tests or drawn from a seeded
-//! exponential arrival process for campaigns — and [`FaultInjector`]
-//! replays it against the platform clock.
+//! exponential arrival process for campaigns.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -24,7 +23,9 @@ pub struct Fault {
     pub duration: Duration,
     /// The struck core.
     pub core: CoreId,
-    /// Corruption mask XOR-ed into the core's outputs.
+    /// Corruption mask of the strike. No job-level classification reads
+    /// it, but [`FaultSchedule::poisson`] still draws it so that a seed
+    /// keeps producing the same schedule.
     pub mask: u64,
 }
 
@@ -32,11 +33,6 @@ impl Fault {
     /// End of the transient window.
     pub fn end(&self) -> Time {
         self.at + self.duration
-    }
-
-    /// Whether the fault is active at `t` (half-open window `[at, end)`).
-    pub fn is_active_at(&self, t: Time) -> bool {
-        t >= self.at && t < self.end()
     }
 
     /// Whether the fault window overlaps the half-open interval
@@ -127,11 +123,6 @@ impl FaultSchedule {
         self.faults.is_empty()
     }
 
-    /// The fault active at time `t`, if any (at most one by construction).
-    pub fn active_at(&self, t: Time) -> Option<&Fault> {
-        self.faults.iter().find(|f| f.is_active_at(t))
-    }
-
     /// The fault (if any) whose window overlaps `[start, end)`. If several
     /// faults fall inside a long interval the first one is returned — for
     /// job-level bookkeeping one overlapping fault is all that matters
@@ -145,8 +136,8 @@ impl FaultSchedule {
 /// drawn for a run.
 ///
 /// This is the *single* fault-model vocabulary of the workspace: campaign
-/// spec files (`ftsched-campaign`), the fault-injection experiment binary
-/// and directed tests all describe fault processes with this type and
+/// spec files (`ftsched-campaign`), perfbench and directed tests all
+/// describe fault processes with this type and
 /// materialise them into a concrete [`FaultSchedule`] with
 /// [`FaultModel::schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -190,67 +181,6 @@ impl FaultModel {
     }
 }
 
-/// Replays a [`FaultSchedule`] against a monotonically advancing clock,
-/// reporting which faults start and end as time moves forward.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    schedule: FaultSchedule,
-    next_index: usize,
-    /// Index of the fault currently active, if any.
-    active: Option<usize>,
-}
-
-impl FaultInjector {
-    /// Creates an injector for the given schedule.
-    pub fn new(schedule: FaultSchedule) -> Self {
-        FaultInjector {
-            schedule,
-            next_index: 0,
-            active: None,
-        }
-    }
-
-    /// Advances the injector to time `now` and returns the events that
-    /// happened since the previous call: `(started, ended)`. The injector
-    /// must be advanced with non-decreasing times.
-    pub fn advance_to(&mut self, now: Time) -> (Option<Fault>, Option<Fault>) {
-        let mut started = None;
-        let mut ended = None;
-        if let Some(idx) = self.active {
-            let fault = self.schedule.faults()[idx];
-            if now >= fault.end() {
-                self.active = None;
-                ended = Some(fault);
-            }
-        }
-        if self.active.is_none() && self.next_index < self.schedule.len() {
-            let fault = self.schedule.faults()[self.next_index];
-            if now >= fault.at {
-                // Only report the fault as started if it is still live;
-                // a fault entirely in the past counts as started+ended.
-                self.next_index += 1;
-                started = Some(fault);
-                if now < fault.end() {
-                    self.active = Some(self.next_index - 1);
-                } else {
-                    ended = Some(fault);
-                }
-            }
-        }
-        (started, ended)
-    }
-
-    /// The fault currently active, if any.
-    pub fn active_fault(&self) -> Option<Fault> {
-        self.active.map(|i| self.schedule.faults()[i])
-    }
-
-    /// The underlying schedule.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,10 +199,7 @@ mod tests {
     #[test]
     fn fault_window_queries() {
         let f = fault(10.0, 2.0, 1);
-        assert!(f.is_active_at(Time::from_units(10.0)));
-        assert!(f.is_active_at(Time::from_units(11.9)));
-        assert!(!f.is_active_at(Time::from_units(12.0)));
-        assert!(!f.is_active_at(Time::from_units(9.9)));
+        assert_eq!(f.end(), Time::from_units(12.0));
         assert!(f.overlaps(Time::from_units(11.0), Time::from_units(15.0)));
         assert!(f.overlaps(Time::from_units(5.0), Time::from_units(10.1)));
         assert!(!f.overlaps(Time::from_units(12.0), Time::from_units(15.0)));
@@ -295,10 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn active_and_overlapping_lookups() {
+    fn overlapping_lookups() {
         let s = FaultSchedule::new(vec![fault(5.0, 1.0, 0), fault(10.0, 2.0, 3)]).unwrap();
-        assert_eq!(s.active_at(Time::from_units(5.5)).unwrap().core, CoreId(0));
-        assert!(s.active_at(Time::from_units(8.0)).is_none());
         assert_eq!(
             s.overlapping(Time::from_units(9.0), Time::from_units(11.0))
                 .unwrap()
@@ -337,21 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn injector_reports_start_and_end_events() {
-        let s = FaultSchedule::new(vec![fault(5.0, 1.0, 2)]).unwrap();
-        let mut inj = FaultInjector::new(s);
-        assert_eq!(inj.advance_to(Time::from_units(1.0)), (None, None));
-        let (started, ended) = inj.advance_to(Time::from_units(5.2));
-        assert_eq!(started.unwrap().core, CoreId(2));
-        assert!(ended.is_none());
-        assert!(inj.active_fault().is_some());
-        let (started, ended) = inj.advance_to(Time::from_units(6.5));
-        assert!(started.is_none());
-        assert!(ended.is_some());
-        assert!(inj.active_fault().is_none());
-    }
-
-    #[test]
     fn fault_model_matches_direct_schedule_construction() {
         let model = FaultModel::Poisson {
             mean_interarrival: 10.0,
@@ -384,15 +294,5 @@ mod tests {
             let back: FaultModel = serde_json::from_str(&json).unwrap();
             assert_eq!(back, model);
         }
-    }
-
-    #[test]
-    fn injector_handles_faults_entirely_in_the_past() {
-        let s = FaultSchedule::new(vec![fault(5.0, 1.0, 2)]).unwrap();
-        let mut inj = FaultInjector::new(s);
-        let (started, ended) = inj.advance_to(Time::from_units(50.0));
-        assert!(started.is_some());
-        assert!(ended.is_some());
-        assert!(inj.active_fault().is_none());
     }
 }

@@ -1,9 +1,9 @@
 //! # ftsched-platform
 //!
-//! A deterministic, tick-level model of the reconfigurable four-processor
-//! platform of the paper's Figure 1 (§2.4): four identical cores behind a
-//! *checker* that compares their outputs before anything reaches the shared
-//! memory, and that can be reconfigured on line into three arrangements:
+//! What the scheduling simulator needs of the reconfigurable
+//! four-processor platform of the paper's Figure 1 (§2.4): four identical
+//! cores behind a checker that can be reconfigured on line into three
+//! arrangements:
 //!
 //! * **FT** — all four cores in redundant lock-step; the checker commits
 //!   the majority value, so a single transient fault is *masked*;
@@ -13,26 +13,17 @@
 //! * **NF** — four independent cores; whatever a core produces is
 //!   committed, so a fault can propagate a *wrong result*.
 //!
-//! The paper uses this platform as the substrate for its scheduling
-//! methodology but never needs micro-architectural detail: only the
-//! per-mode fault semantics and the reconfiguration overhead matter. The
-//! model here therefore executes abstract *work units* whose outputs are
-//! deterministic functions of the executing task and position, corrupted
-//! when a transient fault overlaps the executing core — exactly enough to
-//! exercise the checker logic under the single-transient-fault model of
-//! §2.1 and to drive the fault-injection experiments.
+//! The paper uses this platform only for these per-mode fault semantics
+//! and leaves recovery out of scope (§2.1), so the crate holds just the
+//! channel layouts, the single-transient fault model and the job-level
+//! outcome each mode implies.
 //!
 //! Modules:
 //!
-//! * [`cpu`] — a core with architectural state and fault-corruptible
-//!   output.
+//! * [`cpu`] — core identifiers.
 //! * [`channel`] — grouping of cores into lock-step channels per mode.
-//! * [`checker`] — compare / vote / block logic and its statistics.
-//! * [`memory`] — the shared memory write log with integrity accounting.
-//! * [`fault`] — the single-transient-fault injector (seeded, or from an
+//! * [`fault`] — the single-transient-fault model (seeded, or from an
 //!   explicit schedule).
-//! * [`platform`] — the assembled [`platform::Platform`] with on-line mode
-//!   reconfiguration.
 //! * [`outcome`] — the per-mode job outcome classification used by the
 //!   scheduling simulator (`ftsched-sim`).
 
@@ -40,17 +31,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod channel;
-pub mod checker;
 pub mod cpu;
 pub mod fault;
-pub mod memory;
 pub mod outcome;
-pub mod platform;
-pub mod recovery;
 
 pub use channel::ChannelLayout;
-pub use checker::{Checker, CheckerVerdict};
-pub use fault::{Fault, FaultInjector, FaultModel, FaultSchedule};
+pub use fault::{Fault, FaultModel, FaultSchedule};
 pub use outcome::{classify_outcome, JobOutcome};
-pub use platform::{Platform, PlatformConfig, PlatformStats};
-pub use recovery::{plan_recovery, RecoveryPlan, RecoveryPolicy};

@@ -3,9 +3,9 @@
 //! The scheduling simulator (`ftsched-sim`) tracks jobs, not work units; it
 //! only needs to know, for a job that executed while a fault was active on
 //! one of its channel's cores, what the checker's behaviour implies for
-//! the job's result. That mapping is the essence of §2.2/§2.4 and is kept
-//! here, next to the checker whose behaviour it summarises, so the two can
-//! be cross-validated.
+//! the job's result. That mapping is the essence of §2.2/§2.4;
+//! `tests/fault_injection.rs` checks it against an independent lock-step
+//! model of the four cores.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,31 +27,13 @@ pub enum JobOutcome {
     WrongResult,
 }
 
-impl JobOutcome {
-    /// Whether a (correct) result reached the shared memory.
-    pub fn result_committed(self) -> bool {
-        matches!(self, JobOutcome::CorrectNoFault | JobOutcome::CorrectMasked)
-    }
-
-    /// Whether the outcome violates memory integrity (a wrong value was
-    /// committed).
-    pub fn integrity_violated(self) -> bool {
-        matches!(self, JobOutcome::WrongResult)
-    }
-
-    /// Whether the fault (if any) was at least detected.
-    pub fn fault_detected(self) -> bool {
-        matches!(self, JobOutcome::CorrectMasked | JobOutcome::SilencedLost)
-    }
-}
-
 /// Classifies a job's outcome given the mode its channel was configured in
 /// and whether a transient fault on one of that channel's cores overlapped
 /// the job's execution.
 ///
-/// This is the job-level summary of the checker behaviour (see
-/// [`crate::checker::Checker`]): majority voting masks the fault in FT,
-/// comparison blocks the commit in FS, and nothing protects NF.
+/// This is the job-level summary of the checker behaviour: majority voting
+/// masks the fault in FT, comparison blocks the commit in FS, and nothing
+/// protects NF.
 pub fn classify_outcome(mode: Mode, fault_overlapped: bool) -> JobOutcome {
     if !fault_overlapped {
         return JobOutcome::CorrectNoFault;
@@ -66,16 +48,11 @@ pub fn classify_outcome(mode: Mode, fault_overlapped: bool) -> JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{Checker, CheckerVerdict};
-    use crate::cpu::{golden_output, Core, CoreId};
 
     #[test]
     fn fault_free_jobs_are_always_correct() {
         for mode in Mode::ALL {
-            let outcome = classify_outcome(mode, false);
-            assert_eq!(outcome, JobOutcome::CorrectNoFault);
-            assert!(outcome.result_committed());
-            assert!(!outcome.integrity_violated());
+            assert_eq!(classify_outcome(mode, false), JobOutcome::CorrectNoFault);
         }
     }
 
@@ -100,64 +77,11 @@ mod tests {
         for mode in Mode::ALL {
             let outcome = classify_outcome(mode, true);
             assert_eq!(
-                outcome.integrity_violated(),
+                outcome == JobOutcome::WrongResult,
                 mode.can_propagate_wrong_results()
             );
-            assert_eq!(outcome.result_committed(), mode.masks_faults());
-            assert_eq!(outcome.fault_detected(), mode.detects_faults());
+            assert_eq!(outcome == JobOutcome::CorrectMasked, mode.masks_faults());
+            assert_eq!(outcome != JobOutcome::WrongResult, mode.detects_faults());
         }
-    }
-
-    /// Cross-validation: the job-level classification must agree with what
-    /// the tick-level checker actually does when one core is corrupted.
-    #[test]
-    fn classification_matches_checker_behaviour() {
-        let seed = 99;
-        let unit = 3;
-        let golden = golden_output(seed, unit);
-
-        // FT: four replicas, one corrupted → majority vote commits golden.
-        let mut cores: Vec<Core> = (0..4).map(|i| Core::new(CoreId(i))).collect();
-        cores[2].inject_fault(0xF00D);
-        let outputs: Vec<_> = cores
-            .iter_mut()
-            .map(|c| c.execute_unit(seed, unit))
-            .collect();
-        let mut checker = Checker::new();
-        match checker.check(&outputs) {
-            CheckerVerdict::MajorityVote { value, dissenters } => {
-                assert_eq!(value, golden);
-                assert_eq!(dissenters, 1);
-            }
-            other => panic!("expected a majority vote, got {other:?}"),
-        }
-        assert_eq!(
-            classify_outcome(Mode::FaultTolerant, true),
-            JobOutcome::CorrectMasked
-        );
-
-        // FS: two replicas, one corrupted → blocked.
-        let mut a = Core::new(CoreId(0));
-        let mut b = Core::new(CoreId(1));
-        b.inject_fault(0xBAD);
-        let verdict = checker.check(&[a.execute_unit(seed, unit), b.execute_unit(seed, unit)]);
-        assert_eq!(verdict, CheckerVerdict::Blocked);
-        assert_eq!(
-            classify_outcome(Mode::FailSilent, true),
-            JobOutcome::SilencedLost
-        );
-
-        // NF: single corrupted replica → wrong value committed unchecked.
-        let mut c = Core::new(CoreId(3));
-        c.inject_fault(0xBEEF);
-        let verdict = checker.check(&[c.execute_unit(seed, unit)]);
-        match verdict {
-            CheckerVerdict::Unchecked { value } => assert_ne!(value, golden),
-            other => panic!("expected an unchecked commit, got {other:?}"),
-        }
-        assert_eq!(
-            classify_outcome(Mode::NonFaultTolerant, true),
-            JobOutcome::WrongResult
-        );
     }
 }

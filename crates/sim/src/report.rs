@@ -43,11 +43,6 @@ impl OutcomeCounts {
     pub fn total(&self) -> u64 {
         self.correct_no_fault + self.correct_masked + self.silenced_lost + self.wrong_result
     }
-
-    /// Jobs whose correct result reached the memory.
-    pub fn committed_correctly(&self) -> u64 {
-        self.correct_no_fault + self.correct_masked
-    }
 }
 
 /// The aggregated result of one simulation run.
@@ -109,15 +104,6 @@ impl SimulationReport {
         total
     }
 
-    /// Fraction of released jobs that completed inside the horizon.
-    pub fn completion_ratio(&self) -> f64 {
-        if self.released_jobs == 0 {
-            1.0
-        } else {
-            self.completed_jobs as f64 / self.released_jobs as f64
-        }
-    }
-
     /// Worst observed response time of one task, if it completed any job.
     pub fn worst_response_time(&self, task: TaskId) -> Option<Duration> {
         self.worst_response_times
@@ -165,7 +151,7 @@ mod tests {
         c.record(JobOutcome::SilencedLost);
         c.record(JobOutcome::WrongResult);
         assert_eq!(c.total(), 5);
-        assert_eq!(c.committed_correctly(), 3);
+        assert_eq!(c.correct_masked, 2);
         assert_eq!(c.silenced_lost, 1);
         assert_eq!(c.wrong_result, 1);
     }
@@ -189,7 +175,6 @@ mod tests {
         assert!(report.all_deadlines_met());
         assert!(!report.integrity_preserved());
         assert_eq!(report.total_outcomes().wrong_result, 2);
-        assert!((report.completion_ratio() - 0.9).abs() < 1e-12);
         assert!(report.worst_response_time(TaskId(1)).is_none());
     }
 

@@ -1,10 +1,9 @@
-//! Response-time statistics and trace export.
+//! Response-time statistics of a trace.
 //!
 //! The raw [`crate::trace::Trace`] holds every execution slice and job
 //! record; this module condenses it into the per-task statistics an
 //! evaluation section typically reports (worst / average response time,
-//! normalised by period or deadline, miss counts) and exports traces in a
-//! diff-friendly CSV format for external plotting.
+//! normalised by period or deadline, miss counts).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -97,48 +96,6 @@ pub fn render_stats_table(stats: &[TaskStats]) -> String {
     out
 }
 
-/// Exports the execution slices of a trace as CSV
-/// (`mode,channel,task,activation,start,end`).
-pub fn slices_to_csv(trace: &Trace) -> String {
-    let mut out = String::from("mode,channel,task,activation,start,end\n");
-    for slice in &trace.slices {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{:.6}",
-            slice.mode.short_name(),
-            slice.channel,
-            slice.job.task.0,
-            slice.job.activation,
-            slice.start.as_units(),
-            slice.end.as_units()
-        );
-    }
-    out
-}
-
-/// Exports the job records of a trace as CSV
-/// (`task,activation,mode,release,deadline,completion,met,outcome`).
-pub fn jobs_to_csv(trace: &Trace) -> String {
-    let mut out = String::from("task,activation,mode,release,deadline,completion,met,outcome\n");
-    for job in &trace.jobs {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.6},{:.6},{},{},{:?}",
-            job.job.task.0,
-            job.job.activation,
-            job.mode.short_name(),
-            job.release.as_units(),
-            job.deadline.as_units(),
-            job.completion
-                .map(|c| format!("{:.6}", c.as_units()))
-                .unwrap_or_else(|| "-".into()),
-            job.deadline_met,
-            job.outcome
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,22 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_exports_have_one_row_per_record() {
-        let (_, trace) = run_paper_simulation();
-        let slices_csv = slices_to_csv(&trace);
-        assert_eq!(slices_csv.lines().count(), trace.slices.len() + 1);
-        assert!(slices_csv.starts_with("mode,channel,task"));
-        let jobs_csv = jobs_to_csv(&trace);
-        assert_eq!(jobs_csv.lines().count(), trace.jobs.len() + 1);
-        assert!(jobs_csv.contains("CorrectNoFault"));
-    }
-
-    #[test]
     fn empty_trace_yields_no_stats() {
         let (tasks, _) = run_paper_simulation();
         let stats = per_task_stats(&Trace::default(), &tasks);
         assert!(stats.is_empty());
-        assert_eq!(slices_to_csv(&Trace::default()).lines().count(), 1);
     }
 
     #[test]

@@ -83,15 +83,6 @@ impl Trace {
             .max()
     }
 
-    /// Total executed time per mode (sum of slice lengths).
-    pub fn executed_time_in_mode(&self, mode: Mode) -> Duration {
-        self.slices
-            .iter()
-            .filter(|s| s.mode == mode)
-            .map(ExecutionSlice::length)
-            .sum()
-    }
-
     /// True if no two slices of the same channel overlap (a basic sanity
     /// invariant of the generated schedule).
     pub fn slices_are_disjoint_per_channel(&self) -> bool {
@@ -169,24 +160,5 @@ mod tests {
         assert!(trace.slices_are_disjoint_per_channel());
         trace.slices.push(slice(4, 0, 0.5, 0.9));
         assert!(!trace.slices_are_disjoint_per_channel());
-    }
-
-    #[test]
-    fn per_mode_executed_time() {
-        let mut trace = Trace::default();
-        trace.slices.push(slice(1, 0, 0.0, 1.0));
-        trace.slices.push(slice(2, 1, 0.0, 2.0));
-        assert!(
-            (trace
-                .executed_time_in_mode(Mode::NonFaultTolerant)
-                .as_units()
-                - 3.0)
-                .abs()
-                < 1e-9
-        );
-        assert_eq!(
-            trace.executed_time_in_mode(Mode::FaultTolerant),
-            Duration::ZERO
-        );
     }
 }

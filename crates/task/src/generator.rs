@@ -280,16 +280,6 @@ pub fn generate_taskset(
     TaskSet::new(tasks)
 }
 
-/// Generates a batch of `count` independent task sets with the same
-/// configuration (convenience for campaign drivers).
-pub fn generate_batch(
-    rng: &mut impl Rng,
-    config: &GeneratorConfig,
-    count: usize,
-) -> Result<Vec<TaskSet>, TaskModelError> {
-    (0..count).map(|_| generate_taskset(rng, config)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,15 +426,5 @@ mod tests {
             max: 5.0,
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn batch_generation_produces_independent_sets() {
-        let mut r = rng(9);
-        let config = GeneratorConfig::paper_like(6, 0.9);
-        let batch = generate_batch(&mut r, &config, 10).unwrap();
-        assert_eq!(batch.len(), 10);
-        // Extremely unlikely that two independently drawn sets are equal.
-        assert_ne!(batch[0], batch[1]);
     }
 }

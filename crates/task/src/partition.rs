@@ -83,11 +83,6 @@ impl ModePartition {
         self.channels.iter().flatten().copied().collect()
     }
 
-    /// Index of the channel a task is assigned to, if any.
-    pub fn channel_of(&self, id: TaskId) -> Option<usize> {
-        self.channels.iter().position(|c| c.contains(&id))
-    }
-
     /// Materialises the per-channel task sets from the full task set.
     ///
     /// Empty channels are skipped (they impose no constraint on the slot
@@ -277,8 +272,6 @@ mod tests {
         let set = mixed_set();
         let part = ModePartition::new(Mode::FailSilent, vec![vec![id(6)], vec![id(9)]]).unwrap();
         part.validate(&set).unwrap();
-        assert_eq!(part.channel_of(id(9)), Some(1));
-        assert_eq!(part.channel_of(id(1)), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TaskModelError;
-use crate::mode::{Mode, PerMode};
+use crate::mode::Mode;
 use crate::task::{Task, TaskId};
 use crate::time::lcm;
 
@@ -111,11 +111,6 @@ impl TaskSet {
         self.tasks.iter().map(Task::density).sum()
     }
 
-    /// Largest single-task utilisation in the set.
-    pub fn max_utilization(&self) -> f64 {
-        self.tasks.iter().map(Task::utilization).fold(0.0, f64::max)
-    }
-
     /// Hyperperiod of the set, i.e. the least common multiple of the task
     /// periods, expressed in paper time units.
     ///
@@ -183,12 +178,6 @@ impl TaskSet {
         }
     }
 
-    /// Splits the set into the three per-mode subsets `T_FT`, `T_FS`,
-    /// `T_NF` (§2.3). Modes with no tasks map to `None`.
-    pub fn split_by_mode(&self) -> PerMode<Option<TaskSet>> {
-        PerMode::from_fn(|mode| self.tasks_in_mode(mode))
-    }
-
     /// Utilisation of the subset of tasks requiring `mode` (0 if none).
     pub fn mode_utilization(&self, mode: Mode) -> f64 {
         self.tasks
@@ -245,6 +234,7 @@ impl<'a> IntoIterator for &'a TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mode::PerMode;
     use crate::task::TaskBuilder;
 
     fn task(id: u32, c: f64, t: f64, mode: Mode) -> Task {
@@ -331,7 +321,6 @@ mod tests {
         let set = sample_set();
         let expected = 1.0 / 6.0 + 1.0 / 8.0 + 0.25 + 1.0 / 12.0;
         assert!((set.utilization() - expected).abs() < 1e-12);
-        assert!((set.max_utilization() - 0.25).abs() < 1e-12);
         assert_eq!(set.density(), set.utilization());
     }
 
@@ -353,9 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn split_by_mode_partitions_the_set() {
+    fn tasks_in_mode_partitions_the_set() {
         let set = sample_set();
-        let split = set.split_by_mode();
+        let split = PerMode::from_fn(|mode| set.tasks_in_mode(mode));
         assert_eq!(split.nf.as_ref().unwrap().len(), 2);
         assert_eq!(split.fs.as_ref().unwrap().len(), 1);
         assert_eq!(split.ft.as_ref().unwrap().len(), 1);
