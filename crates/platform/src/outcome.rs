@@ -84,4 +84,36 @@ mod tests {
             assert_eq!(outcome != JobOutcome::WrongResult, mode.detects_faults());
         }
     }
+
+    /// The job-level classification must agree with what each mode's
+    /// checker does to one work unit when one replica is corrupted:
+    /// majority vote over four (FT), comparison of a pair (FS), no check
+    /// on a lone core (NF).
+    #[test]
+    fn classification_matches_checker_behaviour() {
+        const GOLDEN: u64 = 0x5EED;
+        let corrupted = |replicas: usize| {
+            let mut words = vec![GOLDEN; replicas];
+            words[replicas - 1] ^= 0xF00D;
+            words
+        };
+        let check = |words: &[u64]| -> Option<u64> {
+            match words {
+                [only] => Some(*only),
+                [a, b] => (a == b).then_some(*a),
+                _ => words
+                    .iter()
+                    .copied()
+                    .find(|w| 2 * words.iter().filter(|v| *v == w).count() > words.len()),
+            }
+        };
+        for mode in Mode::ALL {
+            let expected = match check(&corrupted(mode.cores_per_channel())) {
+                Some(GOLDEN) => JobOutcome::CorrectMasked,
+                None => JobOutcome::SilencedLost,
+                Some(_) => JobOutcome::WrongResult,
+            };
+            assert_eq!(classify_outcome(mode, true), expected, "{mode}");
+        }
+    }
 }

@@ -95,6 +95,69 @@ fn classification_matches_an_independent_lockstep_model() {
 }
 
 #[test]
+fn platform_level_campaign_preserves_memory_integrity_in_protected_modes() {
+    let mut rng = StdRng::seed_from_u64(99);
+    for mode in [Mode::FaultTolerant, Mode::FailSilent] {
+        let layout = ChannelLayout::canonical(mode);
+        let schedule = FaultSchedule::poisson(
+            &mut rng,
+            Time::from_units(100.0),
+            Duration::from_units(2.0),
+            Duration::from_units(0.5),
+        );
+        assert!(schedule.len() > 10, "{mode}: too few faults to campaign");
+        // Run every channel while each fault is live: the worst case for
+        // the checker.
+        let mut silenced = 0;
+        for fault in schedule.faults() {
+            for channel in 0..layout.channel_count() {
+                match lockstep_verdict(mode, layout.cores_of(channel), fault.core) {
+                    Verdict::Wrong => panic!(
+                        "{mode}: a wrong value from core {} reached the shared memory",
+                        fault.core.0
+                    ),
+                    Verdict::Silent => silenced += 1,
+                    Verdict::Committed => {}
+                }
+            }
+        }
+        // FT masks every fault; FS silences the struck pair once per fault.
+        let expected = match mode {
+            Mode::FailSilent => schedule.len(),
+            _ => 0,
+        };
+        assert_eq!(silenced, expected, "{mode}");
+    }
+}
+
+#[test]
+fn platform_level_campaign_lets_wrong_values_through_only_in_nf_mode() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let schedule = FaultSchedule::poisson(
+        &mut rng,
+        Time::from_units(50.0),
+        Duration::from_units(2.0),
+        Duration::from_units(0.5),
+    );
+    assert!(!schedule.is_empty());
+    for mode in Mode::ALL {
+        let layout = ChannelLayout::canonical(mode);
+        let mut corrupted = 0;
+        for fault in schedule.faults() {
+            let channel = layout.channel_of_core(fault.core).unwrap();
+            if lockstep_verdict(mode, layout.cores_of(channel), fault.core) == Verdict::Wrong {
+                corrupted += 1;
+            }
+        }
+        let expected = match mode {
+            Mode::NonFaultTolerant => schedule.len(),
+            _ => 0,
+        };
+        assert_eq!(corrupted, expected, "{mode}");
+    }
+}
+
+#[test]
 fn simulator_campaign_matches_mode_guarantees_on_the_paper_design() {
     let (tasks, partition) = paper_example();
     let mut rng = StdRng::seed_from_u64(2007);
