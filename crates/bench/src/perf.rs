@@ -1165,12 +1165,6 @@ pub fn render_summary(report: &BenchReport) -> String {
     out
 }
 
-/// True when quick mode is requested via `--quick` in `args` or the
-/// `FTSCHED_BENCH_QUICK` environment variable.
-pub fn quick_mode_from(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--quick") || std::env::var_os("FTSCHED_BENCH_QUICK").is_some()
-}
-
 /// The sweep kernel's perf contract, enforced in CI: bit-for-bit identity
 /// with the per-sample kernel, and a minimum grid speedup.
 ///

@@ -85,7 +85,7 @@ impl std::fmt::Display for ShardInfo {
 }
 
 /// Aggregated results for one scenario grid point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioReport {
     /// Grid index (matches [`CampaignSpec::scenarios`] order).
     pub scenario: usize,
@@ -96,9 +96,11 @@ pub struct ScenarioReport {
     /// Total overhead of the point — `Some` only when the spec sweeps
     /// the `overheads` axis explicitly (keeps pre-axis reports
     /// byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub overhead: Option<f64>,
     /// Partition heuristic of the point — `Some` only when the spec
     /// sweeps the `partition_heuristics` axis explicitly.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub partition_heuristic: Option<PartitionHeuristic>,
     /// The merged trial statistics.
     pub stats: ScenarioStats,
@@ -119,53 +121,6 @@ impl ScenarioReport {
                 .then_some(scenario.partition_heuristic),
             stats,
         }
-    }
-}
-
-// Hand-written serialisation: the two axis columns appear only when
-// their axis is explicit, so reports of pre-axis specs do not change by
-// a byte. Field order otherwise matches the old derive output.
-impl Serialize for ScenarioReport {
-    fn serialize(&self, out: &mut serde::Writer) {
-        out.begin_map();
-        out.field("scenario", &self.scenario);
-        out.field("algorithm", &self.algorithm);
-        out.field("utilization", &self.utilization);
-        if let Some(overhead) = &self.overhead {
-            out.field("overhead", overhead);
-        }
-        if let Some(heuristic) = &self.partition_heuristic {
-            out.field("partition_heuristic", heuristic);
-        }
-        out.field("stats", &self.stats);
-        out.end_map();
-    }
-}
-
-impl Deserialize for ScenarioReport {
-    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for `ScenarioReport`"))?;
-        let field = |name: &str| {
-            serde::get_field(m, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in `ScenarioReport`"))
-            })
-        };
-        Ok(ScenarioReport {
-            scenario: Deserialize::from_value(field("scenario")?)?,
-            algorithm: Deserialize::from_value(field("algorithm")?)?,
-            utilization: Deserialize::from_value(field("utilization")?)?,
-            overhead: match serde::get_field(m, "overhead") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => None,
-            },
-            partition_heuristic: match serde::get_field(m, "partition_heuristic") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => None,
-            },
-            stats: Deserialize::from_value(field("stats")?)?,
-        })
     }
 }
 
@@ -192,7 +147,7 @@ pub struct LatencyCurvePoint {
 }
 
 /// The complete result of one campaign run (or one shard of it).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct CampaignReport {
     /// The spec that produced this report, echoed verbatim.
     pub spec: CampaignSpec,
@@ -201,6 +156,7 @@ pub struct CampaignReport {
     pub scenarios: Vec<ScenarioReport>,
     /// `Some` for partial reports produced by
     /// [`crate::run_campaign_shard`]; `None` for complete reports.
+    #[serde(default)]
     pub shard: Option<ShardInfo>,
     /// Shards absent from an `--allow-partial` merge
     /// ([`merge_reports_partial`]): the campaign degraded gracefully
@@ -208,6 +164,7 @@ pub struct CampaignReport {
     /// the trial space are missing. Empty for complete reports and for
     /// strict merges (and then absent from the JSON, so pre-existing
     /// reports are byte-identical).
+    #[serde(default)]
     pub missing_shards: Vec<ShardInfo>,
 }
 
@@ -215,8 +172,9 @@ pub struct CampaignReport {
 // reports (complete reports stay byte-identical to the pre-shard
 // engine's output), and the pooled latency curve appears only when the
 // spec enables the metric. The curve is *derived* from the per-scenario
-// statistics at serialisation time — deserialisation recomputes it — so
-// shard-merged reports reproduce it byte-identically for free.
+// statistics at serialisation time — deserialisation ignores the key
+// and the next serialisation recomputes it — so shard-merged reports
+// reproduce it byte-identically for free.
 impl Serialize for CampaignReport {
     fn serialize(&self, out: &mut serde::Writer) {
         out.begin_map();
@@ -232,31 +190,6 @@ impl Serialize for CampaignReport {
             out.field("missing_shards", &self.missing_shards);
         }
         out.end_map();
-    }
-}
-
-impl Deserialize for CampaignReport {
-    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for `CampaignReport`"))?;
-        let field = |name: &str| {
-            serde::get_field(m, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in `CampaignReport`"))
-            })
-        };
-        Ok(CampaignReport {
-            spec: Deserialize::from_value(field("spec")?)?,
-            scenarios: Deserialize::from_value(field("scenarios")?)?,
-            shard: match serde::get_field(m, "shard") {
-                Some(v) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
-            missing_shards: match serde::get_field(m, "missing_shards") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
-        })
     }
 }
 

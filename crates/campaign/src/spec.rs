@@ -163,7 +163,7 @@ pub struct LatencyCurveSpec {
 }
 
 /// A declarative experiment campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Human-readable campaign name (echoed in reports).
     pub name: String,
@@ -202,122 +202,28 @@ pub struct CampaignSpec {
     /// Grid axis: total mode-switch overheads to sweep. Empty (the
     /// default, and what every pre-axis spec deserialises to) means the
     /// single [`Self::total_overhead`] value.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub overheads: Vec<f64>,
     /// Grid axis: partition heuristics to sweep (synthetic workloads
     /// only). Empty means the single [`Self::partition_heuristic`].
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub partition_heuristics: Vec<PartitionHeuristic>,
     /// When set, `DesignAndValidate` trials record per-task response-time
     /// histograms with this binning, and reports gain p50/p95/p99
     /// response-time columns.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub response_histogram: Option<ResponseHistogramSpec>,
     /// When set, accepted `DesignAndValidate` trials compute the
     /// WCET-scaling margin of their chosen design and reports gain
     /// `wcet_margin_{mean,p50}` columns.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub wcet_margin: Option<WcetMarginSpec>,
     /// When set, accepted `DesignAndValidate` trials pool their
     /// deadline-relative response times into per-scenario
     /// latency-vs-load curve points; reports gain `lat_p50/p95/p99`
     /// columns, a `--latency-csv` export and a pooled JSON curve.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub latency_curves: Option<LatencyCurveSpec>,
-}
-
-// `CampaignSpec` serialisation is written by hand (the only such type in
-// the workspace) because reports echo the spec verbatim and must stay
-// byte-identical for specs that predate the optional axes: the three
-// extension fields are emitted only when they deviate from their
-// defaults, and tolerated as absent on the way in. The field order
-// matches the declaration order, exactly as the derive would emit.
-impl Serialize for CampaignSpec {
-    fn serialize(&self, out: &mut serde::Writer) {
-        out.begin_map();
-        out.field("name", &self.name);
-        out.field("master_seed", &self.master_seed);
-        out.field("trials_per_scenario", &self.trials_per_scenario);
-        out.field("workload", &self.workload);
-        out.field("algorithms", &self.algorithms);
-        out.field("utilizations", &self.utilizations);
-        out.field("partition_heuristic", &self.partition_heuristic);
-        out.field("total_overhead", &self.total_overhead);
-        out.field("goal", &self.goal);
-        out.field("slack_policy", &self.slack_policy);
-        out.field("faults", &self.faults);
-        out.field("horizon_hyperperiods", &self.horizon_hyperperiods);
-        out.field("kind", &self.kind);
-        out.field("compare_baselines", &self.compare_baselines);
-        out.field("region_samples", &self.region_samples);
-        out.field("region_refine_iterations", &self.region_refine_iterations);
-        if !self.overheads.is_empty() {
-            out.field("overheads", &self.overheads);
-        }
-        if !self.partition_heuristics.is_empty() {
-            out.field("partition_heuristics", &self.partition_heuristics);
-        }
-        if let Some(histogram) = &self.response_histogram {
-            out.field("response_histogram", histogram);
-        }
-        if let Some(margin) = &self.wcet_margin {
-            out.field("wcet_margin", margin);
-        }
-        if let Some(latency) = &self.latency_curves {
-            out.field("latency_curves", latency);
-        }
-        out.end_map();
-    }
-}
-
-/// One required spec field, mirroring the derive macro's semantics:
-/// a missing field is tried against `null` (so `Option` fields may be
-/// omitted) and otherwise reported by name.
-fn required<T: Deserialize>(m: &serde::Entries<'_>, name: &str) -> Result<T, serde::Error> {
-    match serde::get_field(m, name) {
-        Some(v) => T::from_value(v),
-        None => T::from_value(&serde::Value::Null)
-            .map_err(|_| serde::Error::custom(format!("missing field `{name}` in `CampaignSpec`"))),
-    }
-}
-
-/// One optional spec field with an explicit default for when it is
-/// absent (the extension axes of pre-axis specs).
-fn optional<T: Deserialize>(
-    m: &serde::Entries<'_>,
-    name: &str,
-    default: T,
-) -> Result<T, serde::Error> {
-    match serde::get_field(m, name) {
-        Some(v) => T::from_value(v),
-        None => Ok(default),
-    }
-}
-
-impl Deserialize for CampaignSpec {
-    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for `CampaignSpec`"))?;
-        Ok(CampaignSpec {
-            name: required(m, "name")?,
-            master_seed: required(m, "master_seed")?,
-            trials_per_scenario: required(m, "trials_per_scenario")?,
-            workload: required(m, "workload")?,
-            algorithms: required(m, "algorithms")?,
-            utilizations: required(m, "utilizations")?,
-            partition_heuristic: required(m, "partition_heuristic")?,
-            total_overhead: required(m, "total_overhead")?,
-            goal: required(m, "goal")?,
-            slack_policy: required(m, "slack_policy")?,
-            faults: required(m, "faults")?,
-            horizon_hyperperiods: required(m, "horizon_hyperperiods")?,
-            kind: required(m, "kind")?,
-            compare_baselines: required(m, "compare_baselines")?,
-            region_samples: required(m, "region_samples")?,
-            region_refine_iterations: required(m, "region_refine_iterations")?,
-            overheads: optional(m, "overheads", Vec::new())?,
-            partition_heuristics: optional(m, "partition_heuristics", Vec::new())?,
-            response_histogram: optional(m, "response_histogram", None)?,
-            wcet_margin: optional(m, "wcet_margin", None)?,
-            latency_curves: optional(m, "latency_curves", None)?,
-        })
-    }
 }
 
 /// Shared binning rules of the histogram-shaped metric blocks

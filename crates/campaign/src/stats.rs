@@ -245,6 +245,12 @@ impl WcetMarginStats {
         }
     }
 
+    /// True while no margin was recorded (the report then omits the
+    /// aggregate).
+    pub fn is_empty(&self) -> bool {
+        self.runs == 0
+    }
+
     /// Mean margin over the recorded trials (0 when none).
     pub fn mean(&self) -> f64 {
         mean(self.sum.value(), self.runs)
@@ -350,7 +356,7 @@ pub struct BaselineCounts {
 }
 
 /// Aggregated simulation counters for accepted validation trials.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimAggregate {
     /// Simulated (accepted `DesignAndValidate`) trials.
     pub runs: u64,
@@ -382,89 +388,21 @@ pub struct SimAggregate {
     /// [`response_histogram`](crate::CampaignSpec::response_histogram).
     /// Omitted from serialised reports when empty, so histogram-free
     /// campaigns stay byte-identical to the pre-histogram engine.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub response: Vec<TaskResponse>,
     /// WCET-scaling margin aggregate — populated only when the spec sets
     /// [`wcet_margin`](crate::CampaignSpec::wcet_margin). Omitted from
     /// serialised reports while empty, so margin-free campaigns stay
     /// byte-identical to the pre-metric engine.
+    #[serde(default, skip_serializing_if = "WcetMarginStats::is_empty")]
     pub wcet_margin: WcetMarginStats,
     /// This scenario's latency-vs-load curve point — `Some` only when the
     /// spec sets [`latency_curves`](crate::CampaignSpec::latency_curves)
     /// and at least one trial was accepted. Omitted from serialised
     /// reports while `None`, so curve-free campaigns stay byte-identical
     /// to the pre-metric engine.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub latency: Option<LatencyCurve>,
-}
-
-// Serialisation is written by hand so that the `response` field only
-// appears when histograms were collected (byte-compatibility with
-// pre-histogram reports); everything else matches the derive's output
-// field for field.
-impl Serialize for SimAggregate {
-    fn serialize(&self, out: &mut serde::Writer) {
-        out.begin_map();
-        out.field("runs", &self.runs);
-        out.field("released_jobs", &self.released_jobs);
-        out.field("completed_jobs", &self.completed_jobs);
-        out.field("deadline_misses", &self.deadline_misses);
-        out.field("injected_faults", &self.injected_faults);
-        out.field("effective_faults", &self.effective_faults);
-        out.field("outcomes", &self.outcomes);
-        out.field("sum_period", &self.sum_period);
-        out.field("sum_slack_bandwidth", &self.sum_slack_bandwidth);
-        out.field("sum_overhead_bandwidth", &self.sum_overhead_bandwidth);
-        out.field("sum_max_response_time", &self.sum_max_response_time);
-        out.field("max_response_time", &self.max_response_time);
-        if !self.response.is_empty() {
-            out.field("response", &self.response);
-        }
-        if self.wcet_margin.runs > 0 {
-            out.field("wcet_margin", &self.wcet_margin);
-        }
-        if let Some(latency) = &self.latency {
-            out.field("latency", latency);
-        }
-        out.end_map();
-    }
-}
-
-impl Deserialize for SimAggregate {
-    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected a map for `SimAggregate`"))?;
-        let field = |name: &str| {
-            serde::get_field(m, name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` in `SimAggregate`"))
-            })
-        };
-        Ok(SimAggregate {
-            runs: Deserialize::from_value(field("runs")?)?,
-            released_jobs: Deserialize::from_value(field("released_jobs")?)?,
-            completed_jobs: Deserialize::from_value(field("completed_jobs")?)?,
-            deadline_misses: Deserialize::from_value(field("deadline_misses")?)?,
-            injected_faults: Deserialize::from_value(field("injected_faults")?)?,
-            effective_faults: Deserialize::from_value(field("effective_faults")?)?,
-            outcomes: Deserialize::from_value(field("outcomes")?)?,
-            sum_period: Deserialize::from_value(field("sum_period")?)?,
-            sum_slack_bandwidth: Deserialize::from_value(field("sum_slack_bandwidth")?)?,
-            sum_overhead_bandwidth: Deserialize::from_value(field("sum_overhead_bandwidth")?)?,
-            sum_max_response_time: Deserialize::from_value(field("sum_max_response_time")?)?,
-            max_response_time: Deserialize::from_value(field("max_response_time")?)?,
-            response: match serde::get_field(m, "response") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
-            wcet_margin: match serde::get_field(m, "wcet_margin") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => WcetMarginStats::default(),
-            },
-            latency: match serde::get_field(m, "latency") {
-                Some(v) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
-        })
-    }
 }
 
 impl SimAggregate {

@@ -387,11 +387,12 @@ fn field<T: Deserialize>(m: &Entries<'_>, key: &str, ty: &str) -> Result<T, serd
 
 /// One run's complete metrics: the `--metrics-json` document and what
 /// [`Recorder::snapshot`] returns. Serialises as `{counters, timings}`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Deterministic per-trial event counts.
     pub counters: RunCounters,
     /// Machine- and scheduling-dependent data.
+    #[serde(rename = "timings")]
     pub timing: RunTimings,
 }
 
@@ -414,25 +415,6 @@ impl RunMetrics {
             counters: self.counters.since(&baseline.counters),
             timing: self.timing.since(&baseline.timing),
         }
-    }
-}
-
-impl Serialize for RunMetrics {
-    fn serialize(&self, out: &mut serde::Writer) {
-        out.begin_map();
-        out.field("counters", &self.counters);
-        out.field("timings", &self.timing);
-        out.end_map();
-    }
-}
-
-impl Deserialize for RunMetrics {
-    fn from_value(v: &Value<'_>) -> Result<Self, serde::Error> {
-        let m = map_of(v, "RunMetrics")?;
-        Ok(RunMetrics {
-            counters: field(m, "counters", "RunMetrics")?,
-            timing: field(m, "timings", "RunMetrics")?,
-        })
     }
 }
 

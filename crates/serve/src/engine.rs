@@ -166,22 +166,23 @@ pub struct EngineConfig {
     pub cache: bool,
     /// Live-entry capacity cap of each cache.
     pub cache_capacity: usize,
-    /// Width of one admission-latency histogram bin, in microseconds.
-    pub latency_bin_us: f64,
-    /// Number of regular latency bins (decisions at or beyond
-    /// `latency_bin_us * latency_bins` land in the overflow bin).
-    pub latency_bins: usize,
 }
+
+/// Width of one admission-latency histogram bin, in microseconds: 25 µs
+/// bins over a 100 ms range resolve cached decisions into the first bins
+/// and keep cold design sweeps on-scale.
+const LATENCY_BIN_US: f64 = 25.0;
+/// Number of regular latency bins.
+const LATENCY_BINS: usize = 4_000;
+/// The span of the regular bins: decisions at or beyond it land in the
+/// overflow bin.
+const LATENCY_SPAN_US: f64 = LATENCY_BIN_US * LATENCY_BINS as f64;
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache: true,
             cache_capacity: 65_536,
-            // 25 µs bins over a 100 ms range: cached decisions resolve
-            // into the first bins, cold design sweeps stay on-scale.
-            latency_bin_us: 25.0,
-            latency_bins: 4_000,
         }
     }
 }
@@ -222,7 +223,6 @@ pub struct AdmissionEngine {
     admission: MemoCache<AdmissionKey, AdmissionEntry>,
     contexts: MemoCache<ContextKey, ContextEntry>,
     latency: Mutex<LatencyCurve>,
-    latency_span: f64,
     requests: AtomicU64,
     admitted: AtomicU64,
     rejected: AtomicU64,
@@ -244,10 +244,9 @@ impl AdmissionEngine {
             contexts: MemoCache::with_limits(config.cache, 0, config.cache_capacity)
                 .with_stats(|m| &m.serve_context_cache),
             latency: Mutex::new(LatencyCurve::new(LatencyCurveSpec {
-                bin_width: config.latency_bin_us,
-                bins: config.latency_bins,
+                bin_width: LATENCY_BIN_US,
+                bins: LATENCY_BINS,
             })),
-            latency_span: config.latency_bin_us * config.latency_bins as f64,
             requests: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -313,7 +312,7 @@ impl AdmissionEngine {
         // The conservative quantile is +inf when the rank falls into the
         // overflow bin; clamp to the histogram span so summaries stay
         // finite (and JSON-serialisable).
-        let q = |p: f64| latency.histogram.quantile(p).min(self.latency_span);
+        let q = |p: f64| latency.histogram.quantile(p).min(LATENCY_SPAN_US);
         let obs = self.recorder.snapshot().timing;
         ServeSummary {
             requests: self.requests.load(Ordering::Relaxed),

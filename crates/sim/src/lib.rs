@@ -39,7 +39,6 @@ pub mod queue;
 pub mod reference;
 pub mod report;
 pub mod slot;
-pub mod stats;
 pub mod trace;
 
 pub use engine::{
@@ -49,4 +48,3 @@ pub use engine::{
 pub use error::SimError;
 pub use report::SimulationReport;
 pub use slot::{SlotPhase, SlotSchedule};
-pub use stats::{per_task_stats, render_stats_table, TaskStats};

@@ -123,6 +123,21 @@ fn baseline_design_example_is_byte_identical_to_task_set_baseline_binary() {
     assert!(spec.has_overhead_axis() && spec.has_heuristic_axis());
 }
 
+/// Pins the latency-vs-load metric: the spec's `latency_curves` block,
+/// each scenario's `latency` histogram, the pooled `latency_curve` and
+/// the long-format latency CSV. The goldens come from the binary whose
+/// spec, report-row and aggregate JSON was still written by hand.
+#[test]
+fn latency_curves_example_is_byte_identical_to_pre_derive_binary() {
+    let report = check_against_goldens("latency_curves", "pre-derive");
+    assert!(report.spec.latency_curves.is_some() && report.spec.has_overhead_axis());
+    assert_eq!(
+        report.latency_csv().as_deref(),
+        Some(golden("latency_curves", "latency.csv").as_str()),
+        "latency CSV for `latency_curves` diverged from the pre-derive binary"
+    );
+}
+
 #[test]
 fn golden_reports_parse_under_the_widened_schema() {
     // A report written by the pre-axis binary still deserialises (the
@@ -134,6 +149,7 @@ fn golden_reports_parse_under_the_widened_schema() {
         "baseline_design",
         "fault_injection",
         "grid_sweep",
+        "latency_curves",
     ] {
         let text = golden(name, "json");
         let report: CampaignReport = serde_json::from_str(&text)
